@@ -5,12 +5,9 @@
 * ``infilter synth``      — synthesise traffic (normal or an attack) into a flow file;
 * ``infilter report``     — flow-report style statistics over a flow file;
 * ``infilter detect``     — run the Enhanced InFilter over a flow file and
-  emit IDMEF alerts (plus a trace-back summary); ``--shards`` /
-  ``--batch-size`` / ``--engine-mode`` / ``--fastpath`` route the run
-  through the sharded batch ingest engine (:mod:`repro.engine`) with
-  identical verdicts (``--no-fastpath`` disables the engine's
-  cross-batch verdict memo for apples-to-apples baselines);
-  ``--checkpoint-every N`` writes periodic atomic checkpoints to the
+  emit IDMEF alerts (plus a trace-back summary), committing batches
+  through the detector's batch path with serial-identical verdicts;
+  ``--checkpoint-every N`` writes an atomic checkpoint every N records to the
   ``--save-state`` path and ``--load-state … --resume`` continues a
   killed run from its checkpoint cursor; ``--detectors`` /
   ``--ensemble-policy`` compose a multi-detector ensemble (TTL
@@ -250,6 +247,29 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     return code
 
 
+#: Records per ``detect`` commit batch (the serve default).
+_DETECT_BATCH = 256
+
+
+def _detect_batches(
+    start: int, end: int, checkpoint_every: int
+) -> List[Tuple[int, int]]:
+    """``[start, stop)`` commit batches over ``records[start:end]``.
+
+    Batches hold at most :data:`_DETECT_BATCH` records and are cut at
+    every multiple of ``checkpoint_every`` (when set), so each
+    checkpoint cursor lands exactly on one, resumed run or not.
+    """
+    bounds: List[Tuple[int, int]] = []
+    while start < end:
+        stop = min(end, start + _DETECT_BATCH)
+        if checkpoint_every:
+            stop = min(stop, (start // checkpoint_every + 1) * checkpoint_every)
+        bounds.append((start, stop))
+        start = stop
+    return bounds
+
+
 def _run_detect(args: argparse.Namespace) -> int:
     out = sys.stderr if args.idmef else sys.stdout
     checkpoint_every = args.checkpoint_every or 0
@@ -327,7 +347,8 @@ def _run_detect(args: argparse.Namespace) -> int:
                 print("error: no training flows available", file=sys.stderr)
                 return 2
             detector.train(training)
-    run_records = records[resume_cursor:]
+    from repro.core.persistence import save_detector
+
     # Restored stats are cumulative across the detector's lifetime;
     # summarize *this run* by diffing against the starting snapshot.
     stats = detector.stats
@@ -337,46 +358,16 @@ def _run_detect(args: argparse.Namespace) -> int:
     base_attacks = stats.attacks
     base_latency_s = stats.latency_total_s
     alerts_before = len(detector.alert_sink.alerts)
-    engine_report = None
-    use_engine = (
-        args.shards is not None
-        or args.batch_size is not None
-        or args.engine_mode is not None
-        or args.fastpath is not None
-    )
-    if use_engine:
-        from repro.engine import EngineConfig, ShardedIngestEngine
-
-        engine = ShardedIngestEngine(
-            detector,
-            EngineConfig(
-                shards=args.shards if args.shards is not None else 1,
-                batch_size=(
-                    args.batch_size if args.batch_size is not None else 256
-                ),
-                mode=args.engine_mode if args.engine_mode is not None else "auto",
-                checkpoint_every=checkpoint_every,
-                fastpath=args.fastpath if args.fastpath is not None else True,
-            ),
-            checkpoint_path=args.save_state if checkpoint_every else None,
-            cursor_base=resume_cursor,
-        )
-        with engine:
-            engine_report = engine.run(run_records)
+    for start, stop in _detect_batches(
+        resume_cursor, len(records), checkpoint_every
+    ):
+        result = detector.process_batch(records[start:stop])
         if args.idmef:
-            for alert in detector.alert_sink.alerts[alerts_before:]:
-                print(alert.to_xml())
-    else:
-        from repro.core.persistence import save_detector
-
-        for offset, record in enumerate(run_records, start=1):
-            decision = detector.process(record)
-            if decision.is_attack and args.idmef and decision.alert is not None:
-                print(decision.alert.to_xml())
-            if checkpoint_every and offset % checkpoint_every == 0:
-                save_detector(
-                    detector, args.save_state, cursor=resume_cursor + offset
-                )
+            for decision in result.decisions:
+                if decision.alert is not None:
+                    print(decision.alert.to_xml())
+        if checkpoint_every and stop % checkpoint_every == 0:
+            save_detector(detector, args.save_state, cursor=stop)
     run_processed = stats.processed - base_processed
     run_latency_s = stats.latency_total_s - base_latency_s
     mean_latency_s = run_latency_s / run_processed if run_processed else 0.0
@@ -388,29 +379,14 @@ def _run_detect(args: argparse.Namespace) -> int:
         f" (mean latency {mean_latency_s * 1e3:.3f} ms)",
         file=out,
     )
-    if engine_report is not None:
-        print(engine_report.describe(), file=out)
-        if detector.fastpath is not None:
-            memo = detector.fastpath.stats()
-            print(
-                f"fastpath: {memo['hits']} memo hits,"
-                f" {memo['misses']} misses,"
-                f" {memo['evictions']} evictions,"
-                f" {memo['invalidations']} invalidations",
-                file=out,
-            )
     analyzer = TracebackAnalyzer()
     analyzer.consume_all(detector.alert_sink.alerts[alerts_before:])
     if len(analyzer):
         print(f"trace-back: {analyzer.report().summary()}", file=out)
     if args.save_state:
-        from repro.core.persistence import save_detector
-
         # A periodic-checkpoint run records its final cursor so --resume
         # can skip the whole committed stream; a plain save carries none.
-        final_cursor = (
-            resume_cursor + len(run_records) if checkpoint_every else None
-        )
+        final_cursor = len(records) if checkpoint_every else None
         save_detector(detector, args.save_state, cursor=final_cursor)
         print(f"detector state saved to {args.save_state}", file=out)
     return 0
@@ -528,7 +504,6 @@ def _run_serve(args: argparse.Namespace, registry: MetricsRegistry) -> int:
         http_port=args.http_port,
         max_records=args.max_records,
         idle_exit_s=args.idle_exit_s,
-        fastpath=args.fastpath,
     )
     daemon = ServeDaemon(
         detector, serve_config, registry=registry, cursor_base=cursor_base
@@ -672,7 +647,6 @@ def _run_cluster(args: argparse.Namespace, registry: MetricsRegistry) -> int:
         checkpoint_every=(
             args.checkpoint_every if args.checkpoint_every is not None else 1
         ),
-        fastpath=args.fastpath,
         max_records=args.max_records,
         idle_exit_s=args.idle_exit_s,
         drain_timeout_s=args.drain_timeout_s,
@@ -1092,38 +1066,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the run's metrics snapshot (.json = JSON, else Prometheus text)",
     )
     detect.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="run through the sharded batch ingest engine with N shards",
-    )
-    detect.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="records per engine batch (implies the engine; default 256)",
-    )
-    detect.add_argument(
-        "--engine-mode",
-        choices=("auto", "inline", "process"),
-        default=None,
-        help="engine execution mode (implies the engine; default auto)",
-    )
-    detect.add_argument(
-        "--fastpath",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="vectorized zero-copy data plane (implies the engine; default"
-        " on when the engine runs; --no-fastpath for the memo-free"
-        " baseline)",
-    )
-    detect.add_argument(
         "--checkpoint-every",
         type=int,
         default=None,
         metavar="N",
-        help="write an atomic checkpoint to --save-state every N records"
-        " (inline) or N batches (engine)",
+        help="write an atomic checkpoint to --save-state whenever the"
+        " committed-record cursor reaches a multiple of N",
     )
     detect.add_argument(
         "--resume",
@@ -1226,13 +1174,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="S",
         help="drain and exit after S seconds without traffic",
-    )
-    serve.add_argument(
-        "--fastpath",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="columnar zero-copy decode + cross-batch verdict memo"
-        " (default on; --no-fastpath for the record-at-a-time baseline)",
     )
     serve.add_argument(
         "--workers",

@@ -21,6 +21,7 @@ from __future__ import annotations
 from repro.cluster.config import ClusterConfig
 from repro.cluster.director import DirectorStats, FlowDirector
 from repro.cluster.federation import canonical_alerts, federate, fetch_json
+from repro.cluster.router import ShardRouter
 from repro.cluster.supervisor import (
     ClusterReport,
     ClusterSupervisor,
@@ -34,6 +35,7 @@ __all__ = [
     "ClusterSupervisor",
     "DirectorStats",
     "FlowDirector",
+    "ShardRouter",
     "WorkerSpec",
     "canonical_alerts",
     "federate",

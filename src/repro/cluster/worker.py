@@ -49,7 +49,6 @@ class WorkerSpec:
     batch_size: int
     batch_linger_s: float
     checkpoint_every: int
-    fastpath: bool
     recv_buffer_bytes: Optional[int]
 
 
@@ -93,7 +92,6 @@ def worker_main(spec: WorkerSpec, conn: Connection) -> None:
             checkpoint_every=spec.checkpoint_every,
             checkpoint_path=spec.checkpoint_path,
             reload_path=spec.checkpoint_path,
-            fastpath=spec.fastpath,
             recv_buffer_bytes=spec.recv_buffer_bytes,
         )
         daemon = ServeDaemon(

@@ -248,10 +248,9 @@ class BasicInFilter:
         """Absorb ``block`` into ``peer``'s EIA set, returning the old owner.
 
         Absorption *moves* the block: the old owner no longer expects it,
-        reflecting that the route genuinely changed.  Exposed so shard
-        replicas (``repro.engine``) can replay absorption deltas decided
-        by the authoritative detector without re-running the learning
-        rule.
+        reflecting that the route genuinely changed.  The learning rule
+        in :meth:`note_benign` calls this once a block crosses the
+        threshold; it bumps the mutation epoch like every EIA write.
         """
         eia = self.ensure_peer(peer)
         previous = self.expected_peer_for(block.network)

@@ -12,14 +12,20 @@ flow is probably within distance ~``t``, so the search continues on
 smaller scales, and the flow in the last non-empty entry visited is
 returned.
 
-Two engineering notes, both behaviour-preserving:
+Three engineering notes:
 
 * tables store each flow under its *exact* trace and the probe walks the
   radius-``M3`` ball around the query trace — set-equivalent to the
   paper's ball *insertion*, but O(1) instead of O(ball) per flow insert;
 * scales are built lazily on first probe: a binary search touches
   O(log d) of the ``d`` scales, so eager construction of all 720 would be
-  ~70x wasted work.  ``build_all_scales`` exists for exhaustive tests.
+  ~70x wasted work.  ``build_all_scales`` exists for exhaustive tests;
+* where Figure 8 picks one of a scale's ``M1`` tables at random, the
+  search derives the pick from a splitmix64 hash of (query encoding,
+  scale).  Every table is an independent random draw, so a fixed pick
+  is as good as a random one, and it makes a search a pure function of
+  the structure and the query: memoised and serial paths agree for
+  every ``M1``.  At the paper default ``M1 = 1`` nothing changes.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from repro.core.state import StateDict, stateful
 from repro.fastpath.bitpack import PackedCodes
 from repro.netflow.records import FlowStats
 from repro.util.errors import TrainingError
-from repro.util.rng import SeededRng
+from repro.util.rng import SeededRng, mix64
 
 __all__ = ["TrainingFlow", "SearchResult", "NNSStructure"]
 
@@ -112,6 +118,16 @@ class _TraceTable:
         return hits
 
 
+def _fold64(value: int) -> int:
+    """Fold an arbitrary-width non-negative integer into 64 bits."""
+    folded = 0
+    while True:
+        folded = mix64(folded ^ value)
+        value >>= 64
+        if not value:
+            return folded
+
+
 def _random_test_vector(dimension: int, probability_of_one: float, rng: SeededRng) -> int:
     vector = 0
     for position in range(dimension):
@@ -153,7 +169,6 @@ class NNSStructure:
         self.config = config
         self.flows = list(flows)
         self._rng = rng
-        self._pick_rng = rng.fork("structure-pick")
         self._deltas = _ball_deltas(config.m2, config.m3)
         self._scales: Dict[int, List[_TraceTable]] = {}
         self.scales_built = 0
@@ -195,17 +210,21 @@ class NNSStructure:
 
         Returns the flow from the last non-empty entry visited, or None
         when every probed scale came up empty (possible only for queries
-        far from all training data at every scale).
+        far from all training data at every scale).  With ``M1 > 1``
+        tables per scale, the table probed is a fixed hash of (query
+        encoding, scale) rather than a draw, so the search is a pure
+        function of structure and query.
         """
         low, high = 1, self.dimension
         best: Optional[Tuple[TrainingFlow, int]] = None
+        query_hash = _fold64(encoded) if self.config.m1 > 1 else 0
         while low <= high:
             scale = (low + high) // 2
             tables = self._tables_for(scale)
             table = (
                 tables[0]
                 if len(tables) == 1
-                else self._pick_rng.choice(tables)
+                else tables[mix64(query_hash ^ scale) % len(tables)]
             )
             hits = table.probe(encoded, self._deltas)
             if hits:
@@ -228,17 +247,16 @@ class NNSStructure:
     # -- the stage-state protocol --------------------------------------------
 
     def state_dict(self) -> StateDict:
-        """Training flows plus both RNG cursors.
+        """Training flows plus the RNG the tables derive from.
 
         The trace tables are *not* stored: scales are a pure function of
         ``self._rng``'s seed (``fork`` derives children from seed and name
         alone, never the cursor), so a restored structure rebuilds the
-        same tables lazily on first probe.  Only ``_pick_rng``'s cursor is
-        consumed per search, and it is captured exactly.
+        same tables lazily on first probe.  A search consumes no
+        randomness, so there is no per-search cursor to capture.
         """
         return {
             "rng": self._rng.state_dict(),
-            "pick_rng": self._pick_rng.state_dict(),
             "flows": [
                 {
                     "index": flow.index,
@@ -253,8 +271,9 @@ class NNSStructure:
         self.flows = [_flow_from_state(entry) for entry in state["flows"]]
         if not self.flows:
             raise TrainingError("cannot restore an NNS structure with no flows")
+        # Checkpoints from before the pure table pick also carry a
+        # "pick_rng" cursor; nothing consumes it any more.
         self._rng.load_state(state["rng"])
-        self._pick_rng.load_state(state["pick_rng"])
         self._scales = {}
         self.scales_built = 0
         self._packed = None
@@ -266,7 +285,7 @@ class NNSStructure:
         """Rebuild a structure from a captured state section.
 
         The placeholder RNG is immediately overwritten by ``load_state``,
-        which restores the saved seed, name, and cursor of both streams.
+        which restores the saved seed, name, and cursor.
         """
         flows = [_flow_from_state(entry) for entry in state["flows"]]
         structure = cls(encoder, config, flows, rng=SeededRng(0, "restoring"))

@@ -40,7 +40,7 @@ from repro.core.state import StateDict, stateful
 from repro.fastpath.plane import DEFAULT_MEMO_CAPACITY, FastPath
 from repro.netflow.records import FlowRecord
 from repro.obs import MetricsRegistry, Stopwatch, get_logger, get_registry
-from repro.util.errors import ConfigError, EngineError, TrainingError
+from repro.util.errors import ConfigError, TrainingError
 from repro.util.ip import Prefix
 from repro.util.rng import SeededRng
 
@@ -103,12 +103,11 @@ class Decision:
 
 @dataclass(frozen=True)
 class NnsAssessment:
-    """A precomputed NNS-stage result for one flow.
+    """The NNS-stage result for one flow.
 
     ``ClusterModel.assess`` is a pure function of (trained model, flow),
-    so its result may be computed ahead of time — by a shard worker in
-    :mod:`repro.engine` — and handed to :meth:`EnhancedInFilter.process_batch`,
-    which then skips the expensive search for that flow.
+    so :meth:`EnhancedInFilter.assess_memoised` may reuse one result for
+    every flow with the same protocol class and unary encoding.
     """
 
     is_normal: Optional[bool]
@@ -121,13 +120,7 @@ class BatchResult:
     """What :meth:`EnhancedInFilter.process_batch` concluded about a batch."""
 
     decisions: List[Decision]
-    #: (peer, block) EIA absorptions triggered while committing the batch,
-    #: in commit order — the delta stream shard replicas replay.
-    absorbed: List[Tuple[int, Prefix]]
     elapsed_s: float = 0.0
-    #: NNS-stage demand met by caller-supplied speculation vs computed here.
-    speculation_hits: int = 0
-    speculation_misses: int = 0
 
 
 @stateful("stats")
@@ -152,8 +145,8 @@ class PipelineStats:
     #: flows (the mean/max above are exact regardless).
     latency_samples: List[float] = field(default_factory=list)
     latency_sample_cap: int = 100_000
-    #: flows offered to the reservoir so far (== processed unless stats
-    #: objects were merged from shards).
+    #: flows offered to the reservoir so far (== processed unless the
+    #: reservoir was fed directly through :meth:`sample_latency`).
     latency_samples_seen: int = 0
     # SeededRng(seed) draws the same stream as the random.Random(seed)
     # used before the REP002 migration, so reservoir contents (and the
@@ -425,22 +418,17 @@ class EnhancedInFilter:
     ) -> "FastPath[Tuple[int, int], EIACheck]":
         """Attach the cross-batch EIA verdict memo (idempotent).
 
-        With the memo attached, :meth:`process_batch` keys EIA checks by
+        :meth:`process_batch` attaches it on first use; call this first
+        only to choose ``capacity``.  The memo keys EIA checks by
         ``(source block, ingress)`` — where the block width tracks the
         longest stored EIA prefix — and reuses verdicts *across* batches
         until the :class:`~repro.core.eia.BasicInFilter` mutation epoch
-        moves (absorption, preload, restore).  Decision-equivalence to
-        the serial path is unchanged; only where the check is computed
-        changes.  The serial :meth:`process` path never consults the
-        memo: it stays the measured per-flow baseline.
+        moves (absorption, preload, restore).  The serial :meth:`process`
+        path never consults the memo: it stays the memo-free reference.
         """
         if self.fastpath is None:
             self.fastpath = FastPath(capacity, registry=self.registry)
         return self.fastpath
-
-    def disable_fastpath(self) -> None:
-        """Detach (and drop) the cross-batch EIA verdict memo."""
-        self.fastpath = None
 
     # -- online operation (mode e) ------------------------------------------
 
@@ -524,12 +512,7 @@ class EnhancedInFilter:
         """Convenience: assess a record stream, returning all decisions."""
         return [self.process(record) for record in records]
 
-    def process_batch(
-        self,
-        records: Sequence[FlowRecord],
-        *,
-        speculation: Optional[Sequence[Optional[NnsAssessment]]] = None,
-    ) -> BatchResult:
+    def process_batch(self, records: Sequence[FlowRecord]) -> BatchResult:
         """Assess a batch of flows with amortised overhead.
 
         Decision-equivalent to calling :meth:`process` on each record in
@@ -541,58 +524,26 @@ class EnhancedInFilter:
           (the Section 6.4 per-flow numbers come from :meth:`process`);
         * per-stage latency histograms receive no samples (their per-flow
           laps are exactly the overhead this path removes);
-        * the EIA check is memoised per (source, ingress) within the
-          batch — invalidated whenever an absorption rewrites the sets —
-          and NNS assessments are memoised across batches per (protocol
-          class, unary encoding), both of which are pure given the state
-          they key on.  With :meth:`enable_fastpath` the EIA memo is
-          instead the bounded cross-batch LRU of :mod:`repro.fastpath`,
-          keyed per (source *block*, ingress) and invalidated by the
-          EIA mutation epoch — same verdicts, fewer trie walks.
-
-        ``speculation``, when given, must align with ``records``; entries
-        are :class:`NnsAssessment` results precomputed by shard workers
-        (see :mod:`repro.engine`) and are trusted because the trained
-        model is immutable.  Missing entries fall back to the memo or an
-        inline search, so speculation quality affects speed, never
-        outcomes.
+        * the EIA check goes through the cross-batch verdict memo of
+          :meth:`enable_fastpath`, keyed per (source *block*, ingress)
+          and invalidated by the EIA mutation epoch, and NNS assessments
+          are memoised across batches per (protocol class, unary
+          encoding) — both pure given the state they key on.
         """
-        if speculation is not None and len(speculation) != len(records):
-            raise EngineError(
-                f"speculation length {len(speculation)} does not match"
-                f" batch length {len(records)}"
-            )
         watch = Stopwatch()
         decisions: List[Decision] = []
-        absorbed: List[Tuple[int, Prefix]] = []
-        eia_memo: Dict[Tuple[int, int], EIACheck] = {}
-        spec_hits = 0
-        spec_misses = 0
-        granularity = self.config.eia.granularity
         infilter = self.infilter
-        fastpath = self.fastpath
+        fastpath = self.enable_fastpath()
         # Epoch and key shift are hoisted out of the loop and refreshed
         # only when an absorption mutates the EIA state mid-batch.
-        fp_epoch = infilter.mutation_epoch if fastpath is not None else 0
-        fp_shift = infilter.memo_shift if fastpath is not None else 0
-        for index, record in enumerate(records):
-            if fastpath is not None:
-                fp_key = (record.key.src_addr >> fp_shift, record.key.input_if)
-                fp_hit = fastpath.lookup(fp_key, fp_epoch)
-                if fp_hit is None:
-                    eia = infilter.check(record)
-                    fastpath.store(fp_key, eia, fp_epoch)
-                else:
-                    eia = fp_hit
-            else:
-                memo_hit = eia_memo.get(
-                    (record.key.src_addr, record.key.input_if)
-                )
-                if memo_hit is None:
-                    eia = infilter.check(record)
-                    eia_memo[(record.key.src_addr, record.key.input_if)] = eia
-                else:
-                    eia = memo_hit
+        fp_epoch = infilter.mutation_epoch
+        fp_shift = infilter.memo_shift
+        for record in records:
+            fp_key = (record.key.src_addr >> fp_shift, record.key.input_if)
+            eia = fastpath.lookup(fp_key, fp_epoch)
+            if eia is None:
+                eia = infilter.check(record)
+                fastpath.store(fp_key, eia, fp_epoch)
             if not eia.suspect:
                 decisions.append(
                     self._maybe_promote(
@@ -622,33 +573,16 @@ class EnhancedInFilter:
                     )
                 )
                 continue
-            if self.model is None:
-                raise TrainingError(
-                    "enhanced pipeline processed a suspect flow before train()"
-                )
-            assessment = speculation[index] if speculation is not None else None
-            if assessment is not None:
-                spec_hits += 1
-            else:
-                spec_misses += 1
-                assessment = self.assess_memoised(record)
+            assessment = self.assess_memoised(record)
             is_normal = assessment.is_normal
             if is_normal is None:
                 is_normal = not self.config.flag_unmodelled_classes
             if is_normal:
-                absorbed_now = self.infilter.note_benign(record)
+                absorbed_now = infilter.note_benign(record)
                 if absorbed_now:
-                    absorbed.append(
-                        (
-                            record.key.input_if,
-                            Prefix.from_address(record.key.src_addr, granularity),
-                        )
-                    )
-                    # Ownership moved; every memoised check may be stale.
-                    eia_memo.clear()
-                    if fastpath is not None:
-                        fp_epoch = infilter.mutation_epoch
-                        fp_shift = infilter.memo_shift
+                    # Ownership moved; the next probe drops the memo.
+                    fp_epoch = infilter.mutation_epoch
+                    fp_shift = infilter.memo_shift
                 decisions.append(
                     self._maybe_promote(
                         record,
@@ -687,13 +621,7 @@ class EnhancedInFilter:
         for (verdict, stage), count in verdict_stage_counts.items():
             self._metrics.flows.labels(verdict=verdict, stage=stage).inc(count)
         self._metrics.flow_latency.observe_many(share, len(records))
-        return BatchResult(
-            decisions=decisions,
-            absorbed=absorbed,
-            elapsed_s=elapsed,
-            speculation_hits=spec_hits,
-            speculation_misses=spec_misses,
-        )
+        return BatchResult(decisions=decisions, elapsed_s=elapsed)
 
     def assess_memoised(self, record: FlowRecord) -> NnsAssessment:
         """NNS assessment through the (class, encoding) memo.
@@ -701,8 +629,7 @@ class EnhancedInFilter:
         Equivalent to ``self.model.assess(record)``: the search is a pure
         function of the immutable trained model and the flow's unary
         encoding, so two flows that bin identically share one search.
-        Public because shard workers (:mod:`repro.engine.worker`) run it
-        on their replicas to speculate NNS results ahead of commit.
+        Public because :class:`InFilterDetector` shares it.
         """
         if self.model is None:
             raise TrainingError(
@@ -1016,12 +943,10 @@ class EnhancedInFilter:
 class InFilterDetector:
     """The paper's EIA + Scan Analysis + NNS chain as a protocol member.
 
-    Adapts one :class:`EnhancedInFilter`'s stages — including the
-    PR-6 fastpath-backed NNS memo (:meth:`EnhancedInFilter.assess_memoised`)
-    — to the uniform :class:`~repro.core.detector.Detector` interface, the
-    same observe chain shard workers speculate on their replicas
-    (:mod:`repro.engine.worker`).  ``observe`` feeds the scan buffer, so
-    use it on a dedicated pipeline (or replica), not interleaved with
+    Adapts one :class:`EnhancedInFilter`'s stages — including the NNS
+    memo (:meth:`EnhancedInFilter.assess_memoised`) — to the uniform
+    :class:`~repro.core.detector.Detector` interface.  ``observe`` feeds
+    the scan buffer, so use it on a dedicated pipeline, not interleaved with
     ``process`` calls on the same one; it deliberately skips the
     pipeline's own alerting, stats, and overload bookkeeping — those
     belong to the pipeline that hosts the ensemble, and double-counting

@@ -96,8 +96,8 @@ class FlowCollector:
         """Register a callback invoked with *lists* of collected records.
 
         The collector buffers up to ``max_batch`` records per batch sink
-        and delivers them in one call — the hand-off the batched ingest
-        engine (:mod:`repro.engine`) consumes.  Call
+        and delivers them in one call — the hand-off a batch consumer
+        such as :meth:`~repro.core.EnhancedInFilter.process_batch` wants.  Call
         :meth:`flush_batches` after the last datagram; buffered records
         are otherwise held waiting for a full batch.
         """

@@ -106,14 +106,11 @@ class ServeDaemon:
             shed_policy=self.config.shed_policy,
             registry=registry,
         )
-        fastpath = (
-            detector.enable_fastpath() if self.config.fastpath else None
-        )
         self.router = DatagramRouter(
             self.queue,
             registry=registry,
             on_activity=self._note_activity,
-            fastpath=fastpath,
+            fastpath=detector.enable_fastpath(),
         )
         self.worker = CommitWorker(
             detector,

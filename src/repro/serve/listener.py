@@ -3,10 +3,11 @@
 :class:`NetFlowDatagramProtocol` is the asyncio ``DatagramProtocol``
 bound to the export socket; it does nothing but hand raw datagrams to a
 :class:`DatagramRouter`.  The router sniffs the NetFlow version word,
-sends v5 datagrams through the :class:`~repro.netflow.collector.
-FlowCollector` (sequence tracking, duplicate suppression, loss
-accounting — the same accounting the offline path uses), decodes v1
-datagrams directly, and pushes every resulting record into the bounded
+decodes both formats through the columnar zero-copy decoders of
+:mod:`repro.fastpath.columnar`, sends v5 records through the
+:class:`~repro.netflow.collector.FlowCollector` (sequence tracking,
+duplicate suppression, loss accounting — the same accounting the
+offline path uses), and pushes every resulting record into the bounded
 ingest queue.
 
 Keeping the router a plain synchronous object makes the whole ingress
@@ -25,7 +26,7 @@ from repro.fastpath.columnar import decode_v1_columnar, decode_v5_columnar
 from repro.fastpath.plane import FastPath
 from repro.netflow.collector import FlowCollector
 from repro.netflow.records import FlowRecord
-from repro.netflow.v1 import NETFLOW_V1_VERSION, decode_v1_datagram
+from repro.netflow.v1 import NETFLOW_V1_VERSION
 from repro.netflow.v5 import NETFLOW_V5_VERSION
 from repro.obs import MetricsRegistry, Stopwatch, get_logger, get_registry
 from repro.serve.queue import IngestQueue
@@ -64,10 +65,8 @@ class DatagramRouter:
     ) -> None:
         registry = registry if registry is not None else get_registry()
         self.queue = queue
-        #: When set, datagrams decode through the columnar zero-copy
-        #: path (identical records and error handling, timed into the
-        #: fastpath decode metrics); None keeps the record-at-a-time
-        #: decoders.
+        #: When set, every datagram decode is timed into its fastpath
+        #: decode metrics.
         self.fastpath = fastpath
         self.collector = (
             collector if collector is not None else FlowCollector(registry=registry)
@@ -101,22 +100,14 @@ class DatagramRouter:
         else:
             version = -1
         if version == NETFLOW_V5_VERSION:
-            if self.fastpath is None:
-                records = self.collector.receive(data, source=source)
-            else:
-                records = self._receive_v5_columnar(data, source)
+            records = self._receive_v5(data, source)
             self.stats.v5_datagrams += 1
             self._m_v5.inc()
             return len(records)
         if version == NETFLOW_V1_VERSION:
+            watch = Stopwatch()
             try:
-                if self.fastpath is None:
-                    _uptime, records = decode_v1_datagram(data)
-                else:
-                    watch = Stopwatch()
-                    _uptime, batch = decode_v1_columnar(data)
-                    records = batch.records()
-                    self.fastpath.observe_decode(watch.elapsed_s(), len(records))
+                _uptime, batch = decode_v1_columnar(data)
             except NetFlowError as error:
                 self.stats.invalid_datagrams += 1
                 self._m_invalid.inc()
@@ -125,6 +116,8 @@ class DatagramRouter:
                     extra={"source": source, "reason": str(error)},
                 )
                 return 0
+            records = batch.records()
+            self._observe_decode(watch, len(records))
             self.stats.v1_datagrams += 1
             self._m_v1.inc()
             # v1 has no flow_sequence: records bypass loss accounting and
@@ -139,12 +132,15 @@ class DatagramRouter:
         )
         return 0
 
-    def _receive_v5_columnar(self, data: bytes, source: int) -> List[FlowRecord]:
+    def _observe_decode(self, watch: Stopwatch, n_records: int) -> None:
+        if self.fastpath is not None:
+            self.fastpath.observe_decode(watch.elapsed_s(), n_records)
+
+    def _receive_v5(self, data: bytes, source: int) -> List[FlowRecord]:
         """The zero-copy v5 ingest: columnar decode, then the collector's
         decoded-datagram entry point (sequence tracking and duplicate
         suppression unchanged).  Decode failures land in the collector's
         decode-error accounting exactly as :meth:`FlowCollector.receive`."""
-        assert self.fastpath is not None
         watch = Stopwatch()
         try:
             header, batch = decode_v5_columnar(data)
@@ -152,7 +148,7 @@ class DatagramRouter:
             self.collector.note_decode_error(source, str(error))
             return []
         records = batch.records()
-        self.fastpath.observe_decode(watch.elapsed_s(), len(records))
+        self._observe_decode(watch, len(records))
         return self.collector.receive_decoded(header, records, source=source)
 
 

@@ -15,7 +15,7 @@ from typing import Any, Dict, Iterable, List, Sequence, TypeVar
 
 from repro.util.errors import ConfigError
 
-__all__ = ["SeededRng", "derive_seed"]
+__all__ = ["SeededRng", "derive_seed", "mix64"]
 
 _T = TypeVar("_T")
 
@@ -33,6 +33,20 @@ def derive_seed(seed: int, *names: str) -> int:
         digest.update(b"/")
         digest.update(name.encode("utf-8"))
     return int.from_bytes(digest.digest()[:8], "big")
+
+
+def mix64(value: int) -> int:
+    """splitmix64's finalizer: a fixed avalanche over 64 bits.
+
+    A stable integer hash for derived choices that must agree across
+    processes and runs (shard assignment, NNS table picks).  Python's
+    built-in ``hash`` on ``str``/``bytes`` is randomised per process and
+    must never stand in for it.
+    """
+    value &= 0xFFFFFFFFFFFFFFFF
+    value = (value ^ (value >> 30)) * 0xBF58476D1CE4E5B9 & 0xFFFFFFFFFFFFFFFF
+    value = (value ^ (value >> 27)) * 0x94D049BB133111EB & 0xFFFFFFFFFFFFFFFF
+    return value ^ (value >> 31)
 
 
 class SeededRng:

@@ -253,7 +253,7 @@ class TestRep013ConcurrencySafety:
     def test_flags_shard_worker_write(self, tmp_path):
         write_module(
             tmp_path,
-            "repro.engine.pool",
+            "repro.cluster.pool",
             "CACHE = {}\n"
             "\n"
             "class ShardWorker:\n"
@@ -315,7 +315,7 @@ class TestRep014CheckpointContainment:
     def test_flags_raw_os_replace_on_checkpoint_path(self, tmp_path):
         write_module(
             tmp_path,
-            "repro.engine.snapshots",
+            "repro.cluster.snapshots",
             "import os\n"
             "\n"
             "def save(tmp_name, checkpoint_path):\n"
@@ -328,7 +328,7 @@ class TestRep014CheckpointContainment:
     def test_flags_raw_open_for_write(self, tmp_path):
         write_module(
             tmp_path,
-            "repro.engine.snapshots",
+            "repro.cluster.snapshots",
             "import json\n"
             "\n"
             "def save(state, checkpoint_path):\n"
@@ -352,7 +352,7 @@ class TestRep014CheckpointContainment:
     def test_non_checkpoint_write_is_fine(self, tmp_path):
         write_module(
             tmp_path,
-            "repro.engine.snapshots",
+            "repro.cluster.snapshots",
             "def save(report_path, text):\n"
             "    with open(report_path, 'w') as handle:\n"
             "        handle.write(text)\n",

@@ -5,6 +5,14 @@ import pytest
 from repro.cli import build_parser, main
 from repro.flowgen import SubBlockSpace, eia_allocation
 
+from tests.conftest import (
+    eia_signature,
+    kill_and_resume_detect,
+    make_mixed_detector,
+    record_checkpoints,
+    stats_signature,
+)
+
 
 @pytest.fixture
 def plan_file(tmp_path):
@@ -236,30 +244,69 @@ class TestCheckpointResume:
         assert "resuming at record 400 of 400" in out
         assert "processed 0 flows" in out
 
-    def test_engine_checkpoint_run_reports_checkpoints(
-        self, tmp_path, plan_file, normal_file, capsys
+    def test_checkpoint_cursors_are_multiples_of_n(
+        self, tmp_path, plan_file, normal_file, capsys, monkeypatch
     ):
+        """N counts records on every run, and every periodic checkpoint
+        lands on a multiple of N — also after resuming from a cursor
+        that is not one."""
+        from repro.core.persistence import load_checkpoint
+        from repro.netflow.files import read_flow_file, write_flow_file
+
+        head = tmp_path / "head.bin"
+        write_flow_file(head, read_flow_file(normal_file)[:300])
         state = tmp_path / "state.json"
+        cursors = record_checkpoints(monkeypatch)
         assert (
             main(
-                ["detect", normal_file, plan_file, "--basic",
-                 "--shards", "2", "--batch-size", "50",
-                 "--save-state", str(state), "--checkpoint-every", "2"]
+                ["detect", str(head), plan_file, "--basic",
+                 "--save-state", str(state), "--checkpoint-every", "64"]
             )
             == 0
         )
-        out = capsys.readouterr().out
-        assert "checkpoints:" in out
-        from repro.core.persistence import load_checkpoint
-
+        # Four periodic checkpoints, then the final save at 300.
+        assert cursors == [64, 128, 192, 256, 300]
+        del cursors[:]
+        assert (
+            main(
+                ["detect", normal_file, "--load-state", str(state), "--resume",
+                 "--save-state", str(state), "--checkpoint-every", "64"]
+            )
+            == 0
+        )
+        assert "resuming at record 300 of 400" in capsys.readouterr().out
+        assert cursors == [320, 384, 400]
         _detector, cursor = load_checkpoint(state)
         assert cursor == 400
+
+    def test_killed_and_resumed_run_matches_serial(
+        self, eia_plan, target_prefix, mixed_trace, mixed_serial,
+        tmp_path, capsys, monkeypatch,
+    ):
+        """Kill ``detect`` right after a checkpoint and resume it from
+        the file: the stitched run prints the serial alert stream and
+        ends in the serial run's stats and EIA state."""
+        serial_detector, _ = mixed_serial
+        alerts_xml, final, killed_cursor = kill_and_resume_detect(
+            monkeypatch, capsys, tmp_path,
+            make_mixed_detector(eia_plan, target_prefix), mixed_trace,
+            every=111, kill_after=4,
+        )
+        assert killed_cursor == 444
+        assert alerts_xml == "".join(
+            alert.to_xml() + "\n" for alert in serial_detector.alert_sink.alerts
+        )
+        assert stats_signature(final) == stats_signature(serial_detector)
+        assert eia_signature(final) == eia_signature(serial_detector)
+        assert [a.ident for a in final.alert_sink.alerts] == [
+            a.ident for a in serial_detector.alert_sink.alerts
+        ]
 
     def test_second_run_reports_per_run_counts(
         self, tmp_path, plan_file, normal_file, capsys
     ):
         """A restored detector's cumulative stats must not leak into the
-        next run's summary — in either execution path."""
+        next run's summary."""
         state = tmp_path / "state.json"
         attack = tmp_path / "atk.bin"
         main(["synth", str(attack), "--attack", "slammer", "--spoof"])
@@ -273,13 +320,11 @@ class TestCheckpointResume:
         )
         first_out = capsys.readouterr().out
         assert "flagged as attacks" in first_out
-        # Second run sees only legal traffic; with per-run counting both
-        # the inline and the engine paths report zero attacks.
-        for extra in ([], ["--shards", "2"]):
+        # Second run sees only legal traffic; with per-run counting it
+        # reports zero attacks, however often the detector is reused.
+        for _ in range(2):
             assert (
-                main(
-                    ["detect", normal_file, "--load-state", str(state)] + extra
-                )
+                main(["detect", normal_file, "--load-state", str(state)])
                 == 0
             )
             out = capsys.readouterr().out

@@ -115,6 +115,31 @@ class TestSearch:
         second = structure.nearest(query)
         assert first == second
 
+    def test_multi_table_search_is_a_pure_function(self):
+        """With M1 > 1 the table pick is a hash of (query, scale), not a
+        draw: repeating, reordering or skipping searches changes no
+        answer, on this structure or on a twin built from the same seed."""
+        values = [5, 20, 35, 50, 65, 80, 95]
+        encoder, structure = build(values, small_config(m1=3))
+        _, twin = build(values, small_config(m1=3))
+        queries = [encoder.encode(flow(99, v)) for v in (3, 27, 42, 58, 91)]
+        forward = [structure.nearest(q) for q in queries]
+        assert [structure.nearest(q) for q in queries] == forward
+        assert [twin.nearest(q) for q in reversed(queries)] == forward[::-1]
+        assert twin.nearest(queries[2]) == forward[2]
+
+    def test_restore_ignores_a_legacy_pick_rng_section(self):
+        """Checkpoints from before the pure table pick carry a
+        ``pick_rng`` cursor; the reader accepts it and changes nothing."""
+        encoder, structure = build([10, 30, 50, 70], small_config(m1=3))
+        state = structure.state_dict()
+        assert "pick_rng" not in state
+        legacy = dict(state, pick_rng=SeededRng(55).fork("structure-pick").state_dict())
+        restored = NNSStructure.from_state(encoder, small_config(m1=3), legacy)
+        assert restored.state_dict() == state
+        query = encoder.encode(flow(99, 42))
+        assert restored.nearest(query) == structure.nearest(query)
+
     def test_nearest_exact_brute_force(self):
         encoder, structure = build([10, 50, 90])
         query = encoder.encode(flow(99, 48))

@@ -35,6 +35,8 @@ from repro.obs import MetricsRegistry
 from repro.util import Prefix, SeededRng
 from repro.util.errors import ConfigError
 
+from tests.conftest import kill_and_resume_detect
+
 ENSEMBLE = ("infilter", "ttl_profile", "bogon")
 
 
@@ -527,10 +529,10 @@ class TestInFilterDetectorAdapter:
         ) == json.dumps(state, sort_keys=True)
 
 
-class TestEngineWithEnsemble:
-    """The sharded engine's serial-equivalence contract holds for
-    multi-detector compositions: sharding, speculation, and a
-    kill-and-resume cycle change no verdict, alert, or stat."""
+class TestDetectWithEnsemble:
+    """The batch path's serial-equivalence contract holds for
+    multi-detector compositions: batching and a kill-and-resume cycle of
+    ``infilter detect`` change no verdict, alert, or stat."""
 
     def _trace(self, eia_plan, target_prefix):
         return _probe_records(
@@ -543,75 +545,40 @@ class TestEngineWithEnsemble:
         return (s.processed, s.legal, s.suspects, s.benign, s.attacks,
                 s.absorbed, s.attacks_by_stage)
 
-    def test_sharded_run_matches_serial(self, eia_plan, target_prefix):
-        from repro.engine import EngineConfig, ShardedIngestEngine
+    def _alert_trail(self, detector):
+        return [
+            (a.ident, a.classification, a.attribution)
+            for a in detector.alert_sink.alerts
+        ]
 
+    def test_batched_run_matches_serial(self, eia_plan, target_prefix):
         records = self._trace(eia_plan, target_prefix)
         serial = _make_ensemble_detector(eia_plan, target_prefix)
         serial.process_all(records)
-        sharded = _make_ensemble_detector(eia_plan, target_prefix)
-        engine = ShardedIngestEngine(
-            sharded,
-            EngineConfig(shards=3, batch_size=64, mode="inline",
-                         speculate=True),
-        )
-        with engine:
-            report = engine.run(records)
-        assert report.flows == len(records)
-        assert self._stats_tuple(sharded) == self._stats_tuple(serial)
-        assert [
-            (a.ident, a.classification, a.attribution)
-            for a in sharded.alert_sink.alerts
-        ] == [
-            (a.ident, a.classification, a.attribution)
-            for a in serial.alert_sink.alerts
-        ]
+        batched = _make_ensemble_detector(eia_plan, target_prefix)
+        for start in range(0, len(records), 64):
+            batched.process_batch(records[start:start + 64])
+        assert self._stats_tuple(batched) == self._stats_tuple(serial)
+        assert self._alert_trail(batched) == self._alert_trail(serial)
 
     def test_killed_and_resumed_run_matches_uninterrupted(
-        self, eia_plan, target_prefix, tmp_path
+        self, eia_plan, target_prefix, tmp_path, capsys, monkeypatch
     ):
-        from repro.engine import EngineConfig, ShardedIngestEngine
-
         records = self._trace(eia_plan, target_prefix)
         serial = _make_ensemble_detector(
             eia_plan, target_prefix, policy="weighted"
         )
         serial.process_all(records)
 
-        path = tmp_path / "ensemble.ckpt"
-        victim = _make_ensemble_detector(
-            eia_plan, target_prefix, policy="weighted"
+        alerts_xml, restored, cursor = kill_and_resume_detect(
+            monkeypatch, capsys, tmp_path,
+            _make_ensemble_detector(eia_plan, target_prefix, policy="weighted"),
+            records, every=50, kill_after=4,
         )
-        engine = ShardedIngestEngine(
-            victim,
-            EngineConfig(shards=2, batch_size=50, mode="inline",
-                         checkpoint_every=2),
-            checkpoint_path=path,
-        )
-        with engine:
-            engine.run(records[:200])
-
-        restored, cursor = load_checkpoint(path)
         assert cursor == 200
         assert restored.config.detectors == ENSEMBLE
-        resumed = ShardedIngestEngine(
-            restored,
-            EngineConfig(shards=2, batch_size=50, mode="inline",
-                         checkpoint_every=2),
-            checkpoint_path=path,
-            cursor_base=cursor,
-        )
-        with resumed:
-            resumed.run(records[cursor:])
         assert self._stats_tuple(restored) == self._stats_tuple(serial)
-        assert [
-            (a.ident, a.classification, a.attribution)
-            for a in restored.alert_sink.alerts
-        ] == [
-            (a.ident, a.classification, a.attribution)
-            for a in serial.alert_sink.alerts
-        ]
-        # The tail is not a whole number of checkpoint periods, so the
-        # file ends at the last boundary the resumed run crossed.
-        _final, final_cursor = load_checkpoint(path)
-        assert final_cursor == 300
+        assert self._alert_trail(restored) == self._alert_trail(serial)
+        assert alerts_xml == "".join(
+            alert.to_xml() + "\n" for alert in serial.alert_sink.alerts
+        )

@@ -28,14 +28,19 @@ from repro.fastpath import (
     hamming_per_bit,
 )
 from repro.flowgen import Dagflow, generate_attack, synthesize_trace
-from repro.netflow.v1 import decode_v1_datagram, encode_v1_datagram
-from repro.netflow.v5 import decode_datagram, encode_datagram
+from repro.netflow.collector import FlowCollector
+from repro.netflow.v1 import (
+    NETFLOW_V1_VERSION,
+    decode_v1_datagram,
+    encode_v1_datagram,
+)
+from repro.netflow.v5 import NETFLOW_V5_VERSION, decode_datagram, encode_datagram
 from repro.fastpath.columnar import decode_v1_columnar, decode_v5_columnar
 from repro.obs import MetricsRegistry
-from repro.serve.listener import DatagramRouter
+from repro.serve.listener import DatagramRouter, RouterStats
 from repro.serve.queue import IngestQueue
 from repro.util import SeededRng
-from repro.util.errors import ConfigError, NetFlowDecodeError
+from repro.util.errors import ConfigError, NetFlowDecodeError, NetFlowError
 
 from tests.conftest import make_detector
 from tests.test_netflow_fuzz import flow_records
@@ -444,20 +449,44 @@ class TestRouterColumnarParity:
         queued = queue.take_nowait(len(queue))
         return router, queued
 
+    def _route_serial(self, datagrams):
+        """The router's fates, recomputed with the record-at-a-time
+        decoders (``FlowCollector.receive`` and ``decode_v1_datagram``)."""
+        collector = FlowCollector(registry=MetricsRegistry())
+        records: List = []
+        collector.add_sink(records.append)
+        stats = RouterStats()
+        for data in datagrams:
+            version = int.from_bytes(data[:2], "big") if len(data) >= 2 else -1
+            if version == NETFLOW_V5_VERSION:
+                collector.receive(data, source=7)
+                stats.v5_datagrams += 1
+            elif version == NETFLOW_V1_VERSION:
+                try:
+                    _uptime, decoded = decode_v1_datagram(data)
+                except NetFlowError:
+                    stats.invalid_datagrams += 1
+                    continue
+                stats.v1_datagrams += 1
+                collector.ingest_records(decoded)
+            else:
+                stats.invalid_datagrams += 1
+        return collector, stats, records
+
     @given(st.lists(flow_records(), min_size=1, max_size=6), st.binary(max_size=80))
     @settings(max_examples=40)
     def test_fastpath_router_equals_serial_router(self, records, garbage):
         v5 = encode_datagram(records, sys_uptime=1, unix_secs=2, flow_sequence=0)
         v1 = encode_v1_datagram(records, sys_uptime=1, unix_secs=2)
         datagrams = [v5, garbage, v1, v5[: len(v5) // 2]]
-        serial_router, serial_records = self._route_all(None, datagrams)
+        serial_collector, serial_stats, serial_records = self._route_serial(
+            datagrams
+        )
         plane: FastPath = FastPath(64, registry=MetricsRegistry())
         fast_router, fast_records = self._route_all(plane, datagrams)
-        assert [q.record for q in fast_records] == [
-            q.record for q in serial_records
-        ]
-        assert fast_router.stats == serial_router.stats
-        fast_c, serial_c = fast_router.collector.stats, serial_router.collector.stats
+        assert [q.record for q in fast_records] == serial_records
+        assert fast_router.stats == serial_stats
+        fast_c, serial_c = fast_router.collector.stats, serial_collector.stats
         assert (fast_c.datagrams, fast_c.records, fast_c.decode_errors,
                 fast_c.duplicates) == (
             serial_c.datagrams, serial_c.records, serial_c.decode_errors,

@@ -132,3 +132,39 @@ class TestPortMux:
         mux.bind(9002, 2)
         mux.bind(9009, 2)
         assert mux.peers() == (1, 2)
+
+
+class TestCollectorBatchSink:
+    def test_batches_and_flushes(self):
+        from repro.obs import MetricsRegistry
+
+        collector = FlowCollector(registry=MetricsRegistry())
+        batches = []
+        collector.add_batch_sink(batches.append, max_batch=4)
+        collector.ingest_records([record(i) for i in range(10)])
+        assert [len(batch) for batch in batches] == [4, 4]
+        collector.flush_batches()
+        assert [len(batch) for batch in batches] == [4, 4, 2]
+        collector.flush_batches()  # idempotent on an empty buffer
+        assert len(batches) == 3
+        assert [r.key.src_addr for batch in batches for r in batch] == list(
+            range(1, 11)
+        )
+
+    def test_multiple_sinks_have_independent_buffers(self):
+        from repro.obs import MetricsRegistry
+
+        collector = FlowCollector(registry=MetricsRegistry())
+        small, large = [], []
+        collector.add_batch_sink(small.append, max_batch=2)
+        collector.add_batch_sink(large.append, max_batch=5)
+        collector.ingest_records([record(i) for i in range(6)])
+        assert [len(b) for b in small] == [2, 2, 2]
+        assert [len(b) for b in large] == [5]
+
+    def test_rejects_bad_max_batch(self):
+        from repro.obs import MetricsRegistry
+
+        collector = FlowCollector(registry=MetricsRegistry())
+        with pytest.raises(NetFlowError):
+            collector.add_batch_sink(lambda batch: None, max_batch=0)

@@ -3,14 +3,15 @@
 These complement the per-module suites with whole-subsystem invariants:
 valley-freeness of every computed BGP path on randomly generated
 topologies, packet/byte conservation through the exporter, scan-counter
-consistency against a brute-force recount, and the address plan's
-partition property under arbitrary parameters.
+consistency against a brute-force recount, the address plan's
+partition property under arbitrary parameters, and batch ≡ serial
+decision streams across the NNS/EIA configuration space.
 """
 
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import ScanConfig
+from repro.core.config import NNSConfig, ScanConfig
 from repro.core.scan import ScanAnalyzer
 from repro.flowgen.addressing import SubBlockSpace, route_change_allocations
 from repro.netflow.exporter import ExporterConfig, FlowExporter, Packet
@@ -204,3 +205,110 @@ def test_route_change_allocations_partition(n_sources, per_source, change, n_all
         assert len(blocks) == len(set(blocks)) == n_sources * per_source
         for allocation in table.values():
             assert len(allocation.blocks) == per_source
+
+
+# --- Pipeline: process_batch == process_all for every accepted config -------
+
+
+def _sweep_trace(eia_plan, target_prefix):
+    """Legal, route-changed and attack flows: the route-changed suspects
+    repeat NNS encodings (so the batch path's memo skips searches) and
+    keep reaching new ones after the first repeat."""
+    from repro.flowgen import Dagflow, generate_attack, synthesize_trace
+
+    rng = SeededRng(6061, "nns-sweep")
+    legal = Dagflow(
+        "legal", target_prefix=target_prefix, udp_port=9000,
+        source_blocks=eia_plan[0], rng=rng.fork("legal"),
+    )
+    moved = Dagflow(
+        "moved", target_prefix=target_prefix, udp_port=9001,
+        source_blocks=[eia_plan[1][0], eia_plan[2][0]], rng=rng.fork("moved"),
+    )
+    attack = Dagflow(
+        "attack", target_prefix=target_prefix, udp_port=9002,
+        source_blocks=eia_plan[3], rng=rng.fork("attack"),
+    )
+    records = [
+        lr.record.with_key(input_if=0)
+        for lr in legal.replay(synthesize_trace(100, rng=rng.fork("t-legal")))
+    ]
+    records += [
+        lr.record.with_key(input_if=0)
+        for lr in moved.replay(synthesize_trace(300, rng=rng.fork("t-moved")))
+    ]
+    records += [
+        lr.record.with_key(input_if=0)
+        for lr in attack.replay(generate_attack("slammer", rng=rng.fork("a")))
+    ][:100]
+    records.sort(key=lambda r: (r.first, r.key.src_addr, r.key.dst_addr))
+    return records
+
+
+def _sweep_detector(eia_plan, target_prefix, nns, granularity):
+    from repro.core.config import EIAConfig, PipelineConfig
+
+    from tests.conftest import make_detector
+
+    config = PipelineConfig(
+        nns=nns, eia=EIAConfig(granularity=granularity, learning_threshold=3)
+    )
+    return make_detector(
+        eia_plan, target_prefix, seed=7, config=config, n_train=300
+    )
+
+
+def _decision_signature(decision):
+    neighbour = decision.neighbour
+    return (
+        decision.verdict,
+        decision.stage,
+        decision.eia,
+        decision.absorbed,
+        decision.protocol_class,
+        None if neighbour is None
+        else (neighbour.flow.index, neighbour.distance, neighbour.scale),
+        None if decision.alert is None else decision.alert.ident,
+    )
+
+
+@st.composite
+def nns_configs(draw):
+    m2 = draw(st.integers(min_value=4, max_value=12))
+    return NNSConfig(
+        m1=draw(st.integers(min_value=1, max_value=3)),
+        m2=m2,
+        m3=draw(st.integers(min_value=1, max_value=min(3, m2))),
+    )
+
+
+@given(
+    nns=nns_configs(),
+    granularity=st.sampled_from([8, 11, 16]),
+    batch_size=st.integers(min_value=1, max_value=300),
+)
+# The search-consuming configuration ROADMAP measured diverging, pinned
+# so every run covers it.
+@example(nns=NNSConfig(m1=3), granularity=11, batch_size=256)
+# A counterexample costs seconds per replay; report it unshrunk.
+@settings(
+    max_examples=12,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+def test_batch_decisions_equal_serial_across_nns_configs(
+    eia_plan, target_prefix, nns, granularity, batch_size
+):
+    """The NNS search is a pure function of model and query for every
+    ``m1``, so the memoised batch path and serial ``process_all`` agree
+    decision for decision — neighbour included."""
+    records = _sweep_trace(eia_plan, target_prefix)
+    serial = _sweep_detector(eia_plan, target_prefix, nns, granularity)
+    expected = serial.process_all(records)
+    batched = _sweep_detector(eia_plan, target_prefix, nns, granularity)
+    got = []
+    for start in range(0, len(records), batch_size):
+        got.extend(batched.process_batch(records[start:start + batch_size]).decisions)
+    assert list(map(_decision_signature, got)) == list(
+        map(_decision_signature, expected)
+    )
