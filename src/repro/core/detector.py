@@ -21,12 +21,11 @@ uniform interface:
   per-detector attribution attached to every alert.
 
 The paper's own chain — :class:`~repro.core.eia.BasicInFilter`,
-:class:`~repro.core.scan.ScanAnalyzer` + NNS, and the fastpath verdict
-memo — is the protocol's ``"infilter"`` member, implemented by
-:class:`~repro.core.pipeline.InFilterDetector` next to the pipeline that
-owns those stages.  The default composition is InFilter alone, which
-bypasses the combiner entirely: the refactor is behaviour-preserving
-until additional detectors are switched on.
+:class:`~repro.core.scan.ScanAnalyzer` + NNS — is the ensemble's
+``"infilter"`` member.  It is not a :class:`Detector` object: the
+decision kernel of :class:`~repro.core.pipeline.EnhancedInFilter` runs
+the chain and casts its vote into :meth:`Ensemble.combine`.  The default
+composition is InFilter alone, which bypasses the combiner entirely.
 """
 
 from __future__ import annotations
@@ -66,7 +65,7 @@ __all__ = [
 ]
 
 #: The paper's own EIA+Scan+NNS chain, always the ensemble's anchor
-#: member (see :class:`repro.core.pipeline.InFilterDetector`).
+#: member; the pipeline's decision kernel casts its vote.
 INFILTER_DETECTOR = "infilter"
 
 #: Additional protocol implementations this module provides, in the

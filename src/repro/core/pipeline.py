@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.alerts import AlertSink, IdmefAlert
 from repro.core.clusters import ClusterModel, protocol_class
@@ -52,7 +52,6 @@ __all__ = [
     "BatchResult",
     "PipelineStats",
     "EnhancedInFilter",
-    "InFilterDetector",
 ]
 
 #: Seed of the reservoir-sampling RNG in :class:`PipelineStats`.  A fixed
@@ -101,9 +100,8 @@ class Decision:
         return self.verdict == Verdict.ATTACK
 
 
-@dataclass(frozen=True)
-class NnsAssessment:
-    """The NNS-stage result for one flow.
+class NnsAssessment(NamedTuple):
+    """The NNS-stage result for one flow (``ClusterModel.assess``'s tuple).
 
     ``ClusterModel.assess`` is a pure function of (trained model, flow),
     so :meth:`EnhancedInFilter.assess_memoised` may reuse one result for
@@ -113,6 +111,11 @@ class NnsAssessment:
     is_normal: Optional[bool]
     neighbour: Optional[SearchResult]
     protocol_class: str
+
+
+#: The decision kernel's NNS result, ``(is_normal | None, neighbour,
+#: protocol class)``: ``ClusterModel.assess``'s tuple or a memoised one.
+_Assessment = Tuple[Optional[bool], Optional[SearchResult], str]
 
 
 @dataclass
@@ -255,9 +258,9 @@ class PipelineStats:
 class _PipelineMetrics:
     """The pipeline's registry handles (see docs/observability.md).
 
-    Label children are resolved once here rather than per flow: the
-    verdict/stage combinations are a small fixed set and ``process`` is
-    the hot path.
+    Stage, overload and ensemble label children are resolved once here,
+    not per flow: the decision kernel touches them on both online paths,
+    and ``process_batch`` bumps the flow counter once per label pair.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -433,80 +436,19 @@ class EnhancedInFilter:
     # -- online operation (mode e) ------------------------------------------
 
     def process(self, record: FlowRecord) -> Decision:
-        """Assess one incoming flow and update detector state."""
+        """Assess one incoming flow and update detector state.
+
+        The memo-free reference path, timed per flow and per stage.
+        """
         watch = Stopwatch()
         stage_watch = Stopwatch()
         eia = self.infilter.check(record)
         stage_watch.lap_into(self._metrics.eia_latency)
-        if not eia.suspect:
-            decision = Decision(
-                verdict=Verdict.LEGAL,
-                stage=Stage.EIA,
-                eia=eia,
-                latency_s=watch.elapsed_s(),
-            )
-            return self._record(self._maybe_promote(record, decision))
-
-        if not self.config.enhanced:
-            decision = self._attack(
-                record, eia, Stage.EIA, "spoofed-source", watch
-            )
-            return self._record(decision)
-
-        if self._over_capacity(record.last):
-            decision = self._degraded(record, eia, watch)
-            return self._record(decision)
-
-        stage_watch.restart()
-        scan_verdict = self.scan.observe(record)
-        stage_watch.lap_into(self._metrics.scan_latency)
-        if scan_verdict.is_scan:
-            decision = self._attack(
-                record,
-                eia,
-                Stage.SCAN,
-                scan_verdict.kind or "scan",
-                watch,
-                scan=scan_verdict,
-            )
-            return self._record(decision)
-
-        if self.model is None:
-            raise TrainingError(
-                "enhanced pipeline processed a suspect flow before train()"
-            )
-        stage_watch.restart()
-        is_normal, neighbour, class_name = self.model.assess(record)
-        stage_watch.lap_into(self._metrics.nns_latency)
-        if is_normal is None:
-            is_normal = not self.config.flag_unmodelled_classes
-        if is_normal:
-            absorbed = self.infilter.note_benign(record)
-            decision = self._maybe_promote(
-                record,
-                Decision(
-                    verdict=Verdict.BENIGN,
-                    stage=Stage.NNS,
-                    eia=eia,
-                    scan=scan_verdict,
-                    neighbour=neighbour,
-                    protocol_class=class_name,
-                    absorbed=absorbed,
-                    latency_s=watch.elapsed_s(),
-                ),
-            )
-        else:
-            decision = self._attack(
-                record,
-                eia,
-                Stage.NNS,
-                "nns-anomaly",
-                watch,
-                scan=scan_verdict,
-                neighbour=neighbour,
-                protocol_class=class_name,
-            )
-        return self._record(decision)
+        decision = self._decide(record, eia, self._assess_direct, stage_watch)
+        object.__setattr__(decision, "latency_s", watch.elapsed_s())
+        self.stats.note(decision)
+        self._metrics.note(decision)
+        return decision
 
     def process_all(self, records: Iterable[FlowRecord]) -> List[Decision]:
         """Convenience: assess a record stream, returning all decisions."""
@@ -515,9 +457,9 @@ class EnhancedInFilter:
     def process_batch(self, records: Sequence[FlowRecord]) -> BatchResult:
         """Assess a batch of flows with amortised overhead.
 
-        Decision-equivalent to calling :meth:`process` on each record in
-        order — same verdicts, stages, absorptions, and alerts — but the
-        bookkeeping differs in three deliberate ways:
+        Runs :meth:`process`'s decision kernel on each record in order —
+        same verdicts, stages, absorptions, and alerts — but the inputs
+        and bookkeeping differ in three deliberate ways:
 
         * one stopwatch brackets the batch; every decision carries the
           batch's *mean* per-flow latency instead of its own measurement
@@ -527,13 +469,14 @@ class EnhancedInFilter:
         * the EIA check goes through the cross-batch verdict memo of
           :meth:`enable_fastpath`, keyed per (source *block*, ingress)
           and invalidated by the EIA mutation epoch, and NNS assessments
-          are memoised across batches per (protocol class, unary
-          encoding) — both pure given the state they key on.
+          through the two memos of :meth:`assess_memoised` — both pure
+          given the state they key on.
         """
         watch = Stopwatch()
         decisions: List[Decision] = []
         infilter = self.infilter
         fastpath = self.enable_fastpath()
+        assess = self.assess_memoised
         # Epoch and key shift are hoisted out of the loop and refreshed
         # only when an absorption mutates the EIA state mid-batch.
         fp_epoch = infilter.mutation_epoch
@@ -544,72 +487,12 @@ class EnhancedInFilter:
             if eia is None:
                 eia = infilter.check(record)
                 fastpath.store(fp_key, eia, fp_epoch)
-            if not eia.suspect:
-                decisions.append(
-                    self._maybe_promote(
-                        record,
-                        Decision(verdict=Verdict.LEGAL, stage=Stage.EIA, eia=eia),
-                    )
-                )
-                continue
-            if not self.config.enhanced:
-                decisions.append(
-                    self._attack(record, eia, Stage.EIA, "spoofed-source", None)
-                )
-                continue
-            if self._over_capacity(record.last):
-                decisions.append(self._degraded(record, eia, None))
-                continue
-            scan_verdict = self.scan.observe(record)
-            if scan_verdict.is_scan:
-                decisions.append(
-                    self._attack(
-                        record,
-                        eia,
-                        Stage.SCAN,
-                        scan_verdict.kind or "scan",
-                        None,
-                        scan=scan_verdict,
-                    )
-                )
-                continue
-            assessment = self.assess_memoised(record)
-            is_normal = assessment.is_normal
-            if is_normal is None:
-                is_normal = not self.config.flag_unmodelled_classes
-            if is_normal:
-                absorbed_now = infilter.note_benign(record)
-                if absorbed_now:
-                    # Ownership moved; the next probe drops the memo.
-                    fp_epoch = infilter.mutation_epoch
-                    fp_shift = infilter.memo_shift
-                decisions.append(
-                    self._maybe_promote(
-                        record,
-                        Decision(
-                            verdict=Verdict.BENIGN,
-                            stage=Stage.NNS,
-                            eia=eia,
-                            scan=scan_verdict,
-                            neighbour=assessment.neighbour,
-                            protocol_class=assessment.protocol_class,
-                            absorbed=absorbed_now,
-                        ),
-                    )
-                )
-            else:
-                decisions.append(
-                    self._attack(
-                        record,
-                        eia,
-                        Stage.NNS,
-                        "nns-anomaly",
-                        None,
-                        scan=scan_verdict,
-                        neighbour=assessment.neighbour,
-                        protocol_class=assessment.protocol_class,
-                    )
-                )
+            decision = self._decide(record, eia, assess, None)
+            if decision.absorbed:
+                # Ownership moved; the next probe drops the memo.
+                fp_epoch = infilter.mutation_epoch
+                fp_shift = infilter.memo_shift
+            decisions.append(decision)
         elapsed = watch.elapsed_s()
         share = elapsed / len(records) if records else 0.0
         verdict_stage_counts: Dict[Tuple[str, str], int] = {}
@@ -629,12 +512,10 @@ class EnhancedInFilter:
         Equivalent to ``self.model.assess(record)``: the search is a pure
         function of the immutable trained model and the flow's unary
         encoding, so two flows that bin identically share one search.
-        Public because :class:`InFilterDetector` shares it.
+        The NNS step of :meth:`process_batch`; public so profiles and
+        span tracing can name it.
         """
-        if self.model is None:
-            raise TrainingError(
-                "enhanced pipeline processed a suspect flow before train()"
-            )
+        model = self._trained_model()
         raw_key = (
             record.key.protocol,
             record.key.dst_port,
@@ -646,11 +527,11 @@ class EnhancedInFilter:
         if cached is not None:
             return cached
         name = protocol_class(record)
-        subcluster = self.model.subclusters.get(name)
+        subcluster = model.subclusters.get(name)
         if subcluster is None:
             assessment = NnsAssessment(None, None, name)
         else:
-            encoded = self.model.encoder.encode(record.stats())
+            encoded = model.encoder.encode(record.stats())
             key = (name, encoded)
             memoised = self._nns_memo.get(key)
             if memoised is None:
@@ -664,10 +545,6 @@ class EnhancedInFilter:
             self._nns_raw_memo.clear()
         self._nns_raw_memo[raw_key] = assessment
         return assessment
-
-    def as_detector(self) -> "InFilterDetector":
-        """This pipeline's detection chain as a :class:`Detector` member."""
-        return InFilterDetector(self)
 
     # -- the stage-state protocol --------------------------------------------
 
@@ -744,11 +621,80 @@ class EnhancedInFilter:
 
     # -- internals ------------------------------------------------------------
 
-    def _record(self, decision: Decision) -> Decision:
-        """Account one decision in both stats and the metrics registry."""
-        self.stats.note(decision)
-        self._metrics.note(decision)
-        return decision
+    def _decide(
+        self,
+        record: FlowRecord,
+        eia: EIACheck,
+        assess: Callable[[FlowRecord], _Assessment],
+        stage_watch: Optional[Stopwatch],
+    ) -> Decision:
+        """The Figure 12 decision for one flow whose EIA check is done.
+
+        The one kernel behind :meth:`process` and :meth:`process_batch`:
+        BI cut-off, Section 6.3.2 overload gate, Scan Analysis, NNS
+        (``assess``), unmodelled-class policy, EIA absorption and the
+        ensemble hooks.  ``stage_watch``, if given, laps the scan and NNS
+        stage histograms.  The caller sets ``latency_s``.
+        """
+        if not eia.suspect:
+            return self._maybe_promote(
+                record, Decision(verdict=Verdict.LEGAL, stage=Stage.EIA, eia=eia)
+            )
+        if not self.config.enhanced:
+            return self._attack(record, eia, Stage.EIA, "spoofed-source")
+        if self._over_capacity(record.last):
+            return self._degraded(record, eia)
+        if stage_watch is not None:
+            stage_watch.restart()
+        scan_verdict = self.scan.observe(record)
+        if stage_watch is not None:
+            stage_watch.lap_into(self._metrics.scan_latency)
+        if scan_verdict.is_scan:
+            return self._attack(
+                record,
+                eia,
+                Stage.SCAN,
+                scan_verdict.kind or "scan",
+                scan=scan_verdict,
+            )
+        is_normal, neighbour, class_name = assess(record)
+        if stage_watch is not None:
+            stage_watch.lap_into(self._metrics.nns_latency)
+        if is_normal is None:
+            is_normal = not self.config.flag_unmodelled_classes
+        if not is_normal:
+            return self._attack(
+                record,
+                eia,
+                Stage.NNS,
+                "nns-anomaly",
+                scan=scan_verdict,
+                neighbour=neighbour,
+                protocol_class=class_name,
+            )
+        return self._maybe_promote(
+            record,
+            Decision(
+                verdict=Verdict.BENIGN,
+                stage=Stage.NNS,
+                eia=eia,
+                scan=scan_verdict,
+                neighbour=neighbour,
+                protocol_class=class_name,
+                absorbed=self.infilter.note_benign(record),
+            ),
+        )
+
+    def _trained_model(self) -> ClusterModel:
+        if self.model is None:
+            raise TrainingError(
+                "enhanced pipeline processed a suspect flow before train()"
+            )
+        return self.model
+
+    def _assess_direct(self, record: FlowRecord) -> _Assessment:
+        """The memo-free NNS step of :meth:`process`."""
+        return self._trained_model().assess(record)
 
     def _over_capacity(self, now_ms: int) -> bool:
         """The Section 6.3.2 saturation check, in flow time.
@@ -767,9 +713,7 @@ class EnhancedInFilter:
         rate = len(times) * 1000.0 / overload.window_ms
         return rate > overload.suspect_capacity_per_s
 
-    def _degraded(
-        self, record: FlowRecord, eia: EIACheck, watch: Optional[Stopwatch]
-    ) -> Decision:
+    def _degraded(self, record: FlowRecord, eia: EIACheck) -> Decision:
         """Handle an over-capacity suspect: drop or flag unanalysed."""
         overload = self.config.overload
         self._overload_counter += 1
@@ -785,12 +729,7 @@ class EnhancedInFilter:
             )
             return self._maybe_promote(
                 record,
-                Decision(
-                    verdict=Verdict.BENIGN,
-                    stage=Stage.OVERLOAD,
-                    eia=eia,
-                    latency_s=watch.elapsed_s() if watch is not None else 0.0,
-                ),
+                Decision(verdict=Verdict.BENIGN, stage=Stage.OVERLOAD, eia=eia),
             )
         self.stats.overload_flagged += 1
         self._metrics.overload_flagged.inc()
@@ -798,9 +737,7 @@ class EnhancedInFilter:
             "overload: suspect flagged unanalysed",
             extra={"flow_time_ms": record.last, "action": "flagged"},
         )
-        return self._attack(
-            record, eia, Stage.OVERLOAD, "unanalysed-suspect", watch
-        )
+        return self._attack(record, eia, Stage.OVERLOAD, "unanalysed-suspect")
 
     def _attack(
         self,
@@ -808,7 +745,6 @@ class EnhancedInFilter:
         eia: EIACheck,
         stage: str,
         classification: str,
-        watch: Optional[Stopwatch],
         *,
         scan: Optional[ScanVerdict] = None,
         neighbour: Optional[SearchResult] = None,
@@ -821,41 +757,30 @@ class EnhancedInFilter:
         confirm (alert, with attribution) or suppress (benign, stage
         ``ensemble``) it.
         """
-        if self._ensemble is None:
-            return self._emit_attack(
-                record,
-                eia,
-                stage,
-                classification,
-                latency_s=watch.elapsed_s() if watch is not None else 0.0,
-                scan=scan,
-                neighbour=neighbour,
-                protocol_class=protocol_class,
-            )
-        self._metrics.chain_hit.inc()
-        combined = self._combine(record, chain_attack=True)
-        if combined.attack:
+        attribution: Tuple[str, ...] = ()
+        if self._ensemble is not None:
+            combined = self._combine(record, chain_attack=True)
+            if not combined.attack:
+                self._metrics.ensemble_suppressed.inc()
+                return Decision(
+                    verdict=Verdict.BENIGN,
+                    stage=Stage.ENSEMBLE,
+                    eia=eia,
+                    scan=scan,
+                    neighbour=neighbour,
+                    protocol_class=protocol_class,
+                )
             self._metrics.ensemble_confirmed.inc()
-            return self._emit_attack(
-                record,
-                eia,
-                stage,
-                classification,
-                latency_s=watch.elapsed_s() if watch is not None else 0.0,
-                scan=scan,
-                neighbour=neighbour,
-                protocol_class=protocol_class,
-                attribution=combined.attribution,
-            )
-        self._metrics.ensemble_suppressed.inc()
-        return Decision(
-            verdict=Verdict.BENIGN,
-            stage=Stage.ENSEMBLE,
-            eia=eia,
+            attribution = combined.attribution
+        return self._emit_attack(
+            record,
+            eia,
+            stage,
+            classification,
             scan=scan,
             neighbour=neighbour,
             protocol_class=protocol_class,
-            latency_s=watch.elapsed_s() if watch is not None else 0.0,
+            attribution=attribution,
         )
 
     def _maybe_promote(self, record: FlowRecord, decision: Decision) -> Decision:
@@ -870,7 +795,6 @@ class EnhancedInFilter:
         """
         if self._ensemble is None:
             return decision
-        self._metrics.chain_clear.inc()
         combined = self._combine(record, chain_attack=False)
         if not combined.attack:
             self._metrics.ensemble_clear.inc()
@@ -885,7 +809,6 @@ class EnhancedInFilter:
             decision.eia,
             Stage.ENSEMBLE,
             classification,
-            latency_s=decision.latency_s,
             scan=decision.scan,
             neighbour=decision.neighbour,
             protocol_class=decision.protocol_class,
@@ -894,8 +817,9 @@ class EnhancedInFilter:
         )
 
     def _combine(self, record: FlowRecord, *, chain_attack: bool) -> EnsembleDecision:
-        """Collect the auxiliary votes for one flow and fold them."""
+        """Count the chain's vote, collect the auxiliary ones, fold them."""
         assert self._ensemble is not None
+        (self._metrics.chain_hit if chain_attack else self._metrics.chain_clear).inc()
         aux_verdicts: List[DetectorVerdict] = [
             aux.observe(record) for aux in self.aux_detectors
         ]
@@ -908,7 +832,6 @@ class EnhancedInFilter:
         stage: str,
         classification: str,
         *,
-        latency_s: float,
         scan: Optional[ScanVerdict] = None,
         neighbour: Optional[SearchResult] = None,
         protocol_class: Optional[str] = None,
@@ -936,76 +859,4 @@ class EnhancedInFilter:
             protocol_class=protocol_class,
             alert=alert,
             absorbed=absorbed,
-            latency_s=latency_s,
-        )
-
-
-class InFilterDetector:
-    """The paper's EIA + Scan Analysis + NNS chain as a protocol member.
-
-    Adapts one :class:`EnhancedInFilter`'s stages — including the NNS
-    memo (:meth:`EnhancedInFilter.assess_memoised`) — to the uniform
-    :class:`~repro.core.detector.Detector` interface.  ``observe`` feeds
-    the scan buffer, so use it on a dedicated pipeline, not interleaved with
-    ``process`` calls on the same one; it deliberately skips the
-    pipeline's own alerting, stats, and overload bookkeeping — those
-    belong to the pipeline that hosts the ensemble, and double-counting
-    is exactly what this split avoids.
-    """
-
-    name = INFILTER_DETECTOR
-
-    def __init__(self, pipeline: EnhancedInFilter) -> None:
-        self._pipeline = pipeline
-
-    def observe(self, record: FlowRecord) -> DetectorVerdict:
-        """The chain's verdict for one flow, without pipeline side effects."""
-        pipeline = self._pipeline
-        eia = pipeline.infilter.check(record)
-        if not eia.suspect:
-            return DetectorVerdict(self.name, False)
-        if not pipeline.config.enhanced:
-            return DetectorVerdict(
-                self.name, True, score=1.0, reason="spoofed-source"
-            )
-        scan_verdict = pipeline.scan.observe(record)
-        if scan_verdict.is_scan:
-            return DetectorVerdict(
-                self.name, True, score=1.0, reason=scan_verdict.kind or "scan"
-            )
-        assessment = pipeline.assess_memoised(record)
-        is_normal = assessment.is_normal
-        if is_normal is None:
-            is_normal = not pipeline.config.flag_unmodelled_classes
-        if is_normal:
-            return DetectorVerdict(self.name, False)
-        return DetectorVerdict(self.name, True, score=1.0, reason="nns-anomaly")
-
-    def train(self, records: Sequence[FlowRecord]) -> None:
-        self._pipeline.train(records)
-
-    # -- the stage-state protocol --------------------------------------------
-
-    def state_dict(self) -> StateDict:
-        """The chain's three analysis stages, one section each."""
-        pipeline = self._pipeline
-        return {
-            "eia": pipeline.infilter.state_dict(),
-            "scan": pipeline.scan.state_dict(),
-            "model": (
-                pipeline.model.state_dict()
-                if pipeline.model is not None
-                else None
-            ),
-        }
-
-    def load_state(self, state: StateDict) -> None:
-        pipeline = self._pipeline
-        pipeline.infilter.load_state(state["eia"])
-        pipeline.scan.load_state(state["scan"])
-        model_state = state["model"]
-        pipeline.model = (
-            ClusterModel.from_state(pipeline.config.nns, model_state)
-            if model_state is not None
-            else None
         )

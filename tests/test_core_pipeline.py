@@ -11,6 +11,7 @@ from repro.core import (
     Verdict,
 )
 from repro.flowgen import Dagflow, generate_attack, synthesize_trace
+from repro.obs import MetricsRegistry, use_registry
 from repro.util import Prefix, SeededRng
 from repro.util.errors import TrainingError
 
@@ -304,3 +305,73 @@ class TestBatchEquivalence:
         assert [a.ident for a in detector.alert_sink.alerts] == [
             a.ident for a in serial_detector.alert_sink.alerts
         ]
+
+
+def _run_on_own_registry(eia_plan, target_prefix, records, batch_size=None):
+    """Assess ``records`` serially (``batch_size=None``) or in batches on
+    a detector whose metrics land in a fresh registry."""
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        detector = make_mixed_detector(eia_plan, target_prefix)
+    if batch_size is None:
+        detector.process_all(records)
+    else:
+        for start in range(0, len(records), batch_size):
+            detector.process_batch(records[start:start + batch_size])
+    return detector, registry
+
+
+class TestReferenceAndTimingContract:
+    """Serial ``process`` is the memo-free, per-stage-timed reference;
+    ``process_batch`` shares its decision kernel but not its timing."""
+
+    def test_serial_path_uses_no_memo(self, eia_plan, target_prefix, mixed_trace):
+        detector, _ = _run_on_own_registry(eia_plan, target_prefix, mixed_trace)
+        assert detector.stats.suspects > 0
+        assert detector.fastpath is None
+        assert detector._nns_memo == {}
+        assert detector._nns_raw_memo == {}
+
+    def test_only_serial_path_laps_stages(
+        self, eia_plan, target_prefix, mixed_trace
+    ):
+        serial, serial_registry = _run_on_own_registry(
+            eia_plan, target_prefix, mixed_trace
+        )
+        _, batch_registry = _run_on_own_registry(
+            eia_plan, target_prefix, mixed_trace, batch_size=64
+        )
+        serial_stages = serial_registry.get(
+            "infilter_pipeline_stage_latency_seconds"
+        )
+        assert serial_stages.labels(stage=Stage.EIA).count == len(mixed_trace)
+        assert serial_stages.labels(stage=Stage.SCAN).count == (
+            serial.stats.suspects
+        )
+        assert serial_stages.labels(stage=Stage.NNS).count > 0
+        batch_stages = batch_registry.get(
+            "infilter_pipeline_stage_latency_seconds"
+        )
+        for stage in (Stage.EIA, Stage.SCAN, Stage.NNS):
+            assert batch_stages.labels(stage=stage).count == 0
+
+    def test_flow_metrics_agree_across_paths(
+        self, eia_plan, target_prefix, mixed_trace
+    ):
+        _, serial_registry = _run_on_own_registry(
+            eia_plan, target_prefix, mixed_trace
+        )
+        _, batch_registry = _run_on_own_registry(
+            eia_plan, target_prefix, mixed_trace, batch_size=64
+        )
+
+        def flow_counts(registry):
+            flows = registry.get("infilter_pipeline_flows_total")
+            return {labels: child.value for labels, child in flows.samples()}
+
+        serial_counts = flow_counts(serial_registry)
+        assert ("attack", Stage.SCAN) in serial_counts
+        assert flow_counts(batch_registry) == serial_counts
+        latency = "infilter_pipeline_flow_latency_seconds"
+        assert serial_registry.get(latency).count == len(mixed_trace)
+        assert batch_registry.get(latency).count == len(mixed_trace)

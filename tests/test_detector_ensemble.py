@@ -19,7 +19,6 @@ from repro.core import (
     EIAConfig,
     EnhancedInFilter,
     Ensemble,
-    InFilterDetector,
     PipelineConfig,
     TTLProfileDetector,
     available_detectors,
@@ -483,50 +482,6 @@ class TestCheckpointRoundTrip:
         assert [a.ident for a in revived.alert_sink.alerts] == [
             a.ident for a in uninterrupted.alert_sink.alerts
         ]
-
-
-class TestInFilterDetectorAdapter:
-    def test_adapter_speaks_the_protocol(self, eia_plan, target_prefix):
-        from repro.core import Detector
-
-        pipeline = _make_ensemble_detector(
-            eia_plan, target_prefix, detectors=("infilter",)
-        )
-        adapter = pipeline.as_detector()
-        assert isinstance(adapter, InFilterDetector)
-        assert isinstance(adapter, Detector)
-        assert adapter.name == "infilter"
-
-    def test_adapter_observe_matches_pipeline_verdicts(
-        self, eia_plan, target_prefix
-    ):
-        records = _probe_records(eia_plan, target_prefix)
-        pipeline = _make_ensemble_detector(
-            eia_plan, target_prefix, detectors=("infilter",)
-        )
-        # A second, identically built pipeline hosts the adapter so its
-        # observe() calls cannot perturb the reference's scan buffer.
-        adapter = _make_ensemble_detector(
-            eia_plan, target_prefix, detectors=("infilter",)
-        ).as_detector()
-        for record in records:
-            decision = pipeline.process(record)
-            verdict = adapter.observe(record)
-            assert verdict.suspicious == decision.is_attack
-
-    def test_adapter_state_round_trip(self, eia_plan, target_prefix):
-        pipeline = _make_ensemble_detector(
-            eia_plan, target_prefix, detectors=("infilter",)
-        )
-        adapter = pipeline.as_detector()
-        state = adapter.state_dict()
-        other = _make_ensemble_detector(
-            eia_plan, target_prefix, detectors=("infilter",), seed=999
-        )
-        other.as_detector().load_state(state)
-        assert json.dumps(
-            other.as_detector().state_dict(), sort_keys=True
-        ) == json.dumps(state, sort_keys=True)
 
 
 class TestDetectWithEnsemble:

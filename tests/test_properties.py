@@ -5,13 +5,20 @@ valley-freeness of every computed BGP path on randomly generated
 topologies, packet/byte conservation through the exporter, scan-counter
 consistency against a brute-force recount, the address plan's
 partition property under arbitrary parameters, and batch ≡ serial
-decision streams across the NNS/EIA configuration space.
+decision streams across the NNS/EIA and pipeline configuration spaces.
 """
 
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import NNSConfig, ScanConfig
+from repro.core.config import (
+    EIAConfig,
+    NNSConfig,
+    OverloadConfig,
+    PipelineConfig,
+    ScanConfig,
+)
+from repro.core.detector import ENSEMBLE_POLICIES
 from repro.core.scan import ScanAnalyzer
 from repro.flowgen.addressing import SubBlockSpace, route_change_allocations
 from repro.netflow.exporter import ExporterConfig, FlowExporter, Packet
@@ -312,3 +319,107 @@ def test_batch_decisions_equal_serial_across_nns_configs(
     assert list(map(_decision_signature, got)) == list(
         map(_decision_signature, expected)
     )
+
+
+def _unmodelled_flows(eia_plan, target_prefix, count=24):
+    """GRE flows (protocol class ``other``, which training never sees)
+    from a block foreign to peer 0, spread over the sweep trace's 13.5 s.
+    One destination host and port, so Scan Analysis never fires on them
+    and every one reaches the unmodelled-class policy."""
+    from repro.netflow.records import FlowKey, FlowRecord
+
+    source = eia_plan[4][0]
+    return [
+        FlowRecord(
+            key=FlowKey(
+                src_addr=source.nth_address(index + 1),
+                dst_addr=target_prefix.nth_address(7),
+                protocol=47,
+                input_if=0,
+            ),
+            packets=3 + index % 4,
+            octets=600 + 40 * index,
+            first=index * 560,
+            last=index * 560 + 90,
+        )
+        for index in range(count)
+    ]
+
+
+@st.composite
+def pipeline_configs(draw):
+    return PipelineConfig(
+        enhanced=draw(st.booleans()),
+        flag_unmodelled_classes=draw(st.booleans()),
+        overload=OverloadConfig(
+            suspect_capacity_per_s=draw(st.sampled_from([None, 2, 20, 200])),
+            drop_fraction=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        ),
+        detectors=draw(
+            st.sampled_from([("infilter",), ("infilter", "ttl_profile", "bogon")])
+        ),
+        ensemble_policy=draw(st.sampled_from(ENSEMBLE_POLICIES)),
+        eia=EIAConfig(learning_threshold=3),
+    )
+
+
+def _stats_state(detector):
+    """Every stats counter except the timing ones (they are measured)."""
+    state = detector.stats.state_dict()
+    return {
+        key: value for key, value in state.items()
+        if not key.startswith("latency") and key != "reservoir_rng"
+    }
+
+
+@given(
+    config=pipeline_configs(),
+    batch_size=st.integers(min_value=1, max_value=300),
+)
+# BI, EI with the unmodelled class flagged, and EI past capacity under a
+# three-detector majority vote, pinned so every run covers each branch.
+@example(config=PipelineConfig(enhanced=False), batch_size=64)
+@example(
+    config=PipelineConfig(flag_unmodelled_classes=False), batch_size=256
+)
+@example(
+    config=PipelineConfig(
+        overload=OverloadConfig(suspect_capacity_per_s=20, drop_fraction=0.3),
+        detectors=("infilter", "ttl_profile", "bogon"),
+        ensemble_policy="majority",
+    ),
+    batch_size=97,
+)
+@settings(
+    max_examples=30,
+    deadline=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate),
+)
+def test_batch_decisions_equal_serial_across_pipeline_configs(
+    eia_plan, target_prefix, config, batch_size
+):
+    """BI cut-off, overload gate, unmodelled-class policy and ensemble
+    votes run in one decision kernel for both paths, so ``process_batch``
+    and ``process_all`` agree decision for decision — alert idents and
+    overload counters included — for every such configuration."""
+    from tests.conftest import make_detector
+
+    records = sorted(
+        _sweep_trace(eia_plan, target_prefix)
+        + _unmodelled_flows(eia_plan, target_prefix),
+        key=lambda r: (r.first, r.key.src_addr, r.key.protocol),
+    )
+    serial = make_detector(
+        eia_plan, target_prefix, seed=7, config=config, n_train=300
+    )
+    expected = serial.process_all(records)
+    batched = make_detector(
+        eia_plan, target_prefix, seed=7, config=config, n_train=300
+    )
+    got = []
+    for start in range(0, len(records), batch_size):
+        got.extend(batched.process_batch(records[start:start + batch_size]).decisions)
+    assert list(map(_decision_signature, got)) == list(
+        map(_decision_signature, expected)
+    )
+    assert _stats_state(batched) == _stats_state(serial)
