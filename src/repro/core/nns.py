@@ -12,14 +12,22 @@ flow is probably within distance ~``t``, so the search continues on
 smaller scales, and the flow in the last non-empty entry visited is
 returned.
 
-Three engineering notes:
+Four engineering notes:
 
 * tables store each flow under its *exact* trace and the probe walks the
   radius-``M3`` ball around the query trace — set-equivalent to the
   paper's ball *insertion*, but O(1) instead of O(ball) per flow insert;
+* one ranking per search: while binary searching, a scale is only asked
+  whether any entry in the query's ball is occupied (stopping at the
+  first); the flows in the ball at the last occupied scale are collected
+  and ranked once, after the loop.  Figure 8 returns a flow from that
+  scale only, so ranking the scales visited before it is wasted work;
 * scales are built lazily on first probe: a binary search touches
-  O(log d) of the ``d`` scales, so eager construction of all 720 would be
-  ~70x wasted work.  ``build_all_scales`` exists for exhaustive tests;
+  O(log d) of the ``d`` scales.  Eager construction would build
+  720 x ``M1`` tables per structure, 5,040 for a detector's seven
+  protocol subclusters at ``M1 = 1``, where a whole flood round builds
+  about 62; it would move seconds of test-vector draws into start-up.
+  ``build_all_scales`` exists for exhaustive tests;
 * where Figure 8 picks one of a scale's ``M1`` tables at random, the
   search derives the pick from a splitmix64 hash of (query encoding,
   scale).  Every table is an independent random draw, so a fixed pick
@@ -35,7 +43,7 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import NNSConfig
-from repro.core.encoding import UnaryEncoder, hamming, parity_inner_product
+from repro.core.encoding import UnaryEncoder, hamming
 from repro.core.state import StateDict, stateful
 from repro.fastpath.bitpack import PackedCodes
 from repro.netflow.records import FlowStats
@@ -92,20 +100,32 @@ class _TraceTable:
         b: float,
         rng: SeededRng,
     ) -> None:
-        self.test_vectors = [
-            _random_test_vector(dimension, b / 2.0, rng) for _ in range(m2)
-        ]
+        self.test_vectors = [rng.bits(dimension, b / 2.0) for _ in range(m2)]
         self.table: Dict[int, List[TrainingFlow]] = {}
         for flow in flows:
             trace = self._trace(flow.encoded)
             self.table.setdefault(trace, []).append(flow)
 
     def _trace(self, encoded: int) -> int:
+        # Bit i is the GF(2) inner product of test vector i and the query.
         trace = 0
         for bit_index, vector in enumerate(self.test_vectors):
-            if parity_inner_product(vector, encoded):
+            if (vector & encoded).bit_count() & 1:
                 trace |= 1 << bit_index
         return trace
+
+    def occupied(self, encoded: int, deltas: Tuple[int, ...]) -> bool:
+        """Whether any entry in the M3-ball of the query's trace holds a flow.
+
+        Stops at the first non-empty entry: the binary search only needs
+        to know *whether* the scale answers, not with which flows.
+        """
+        trace = self._trace(encoded)
+        table = self.table
+        for delta in deltas:
+            if trace ^ delta in table:
+                return True
+        return False
 
     def probe(self, encoded: int, deltas: Tuple[int, ...]) -> List[TrainingFlow]:
         """Flows stored within the M3-ball of the query's trace."""
@@ -126,14 +146,6 @@ def _fold64(value: int) -> int:
         value >>= 64
         if not value:
             return folded
-
-
-def _random_test_vector(dimension: int, probability_of_one: float, rng: SeededRng) -> int:
-    vector = 0
-    for position in range(dimension):
-        if rng.bernoulli(probability_of_one):
-            vector |= 1 << position
-    return vector
 
 
 def _flow_from_state(entry: StateDict) -> TrainingFlow:
@@ -215,8 +227,12 @@ class NNSStructure:
         encoding, scale) rather than a draw, so the search is a pure
         function of structure and query.
         """
+        deltas = self._deltas
         low, high = 1, self.dimension
-        best: Optional[Tuple[TrainingFlow, int]] = None
+        # The last occupied table visited and its scale: the answer comes
+        # from that table's ball, so only its flows are ranked, once,
+        # after the search.
+        last: Optional[Tuple[_TraceTable, int]] = None
         query_hash = _fold64(encoded) if self.config.m1 > 1 else 0
         while low <= high:
             scale = (low + high) // 2
@@ -226,20 +242,20 @@ class NNSStructure:
                 if len(tables) == 1
                 else tables[mix64(query_hash ^ scale) % len(tables)]
             )
-            hits = table.probe(encoded, self._deltas)
-            if hits:
-                # Deterministic pick inside the entry: the closest by true
-                # Hamming distance, ties to the earliest training index.
-                chosen = min(
-                    hits, key=lambda f: (hamming(f.encoded, encoded), f.index)
-                )
-                best = (chosen, scale)
+            if table.occupied(encoded, deltas):
+                last = (table, scale)
                 high = scale - 1
             else:
                 low = scale + 1
-        if best is None:
+        if last is None:
             return None
-        flow, scale = best
+        table, scale = last
+        # Deterministic pick inside the entry: the closest by true Hamming
+        # distance, ties to the earliest training index.
+        flow = min(
+            table.probe(encoded, deltas),
+            key=lambda f: ((f.encoded ^ encoded).bit_count(), f.index),
+        )
         return SearchResult(
             flow=flow, distance=hamming(flow.encoded, encoded), scale=scale
         )

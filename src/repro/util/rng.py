@@ -144,9 +144,16 @@ class SeededRng:
         """True with the given probability."""
         return self._random.random() < probability
 
-    def bit(self, probability_of_one: float) -> int:
-        """A single {0,1} draw, used by the NNS test-vector construction."""
-        return 1 if self._random.random() < probability_of_one else 0
+    def bits(self, n: int, probability_of_one: float) -> int:
+        """``n`` independent {0,1} draws packed into an int, draw ``i`` at bit ``i``.
+
+        Consumes exactly the ``n`` draws, in position order, that ``n``
+        ``bernoulli(probability_of_one)`` calls would, so a stream that
+        switches between the two stays on the same cursor.  The NNS
+        test-vector construction draws its vectors here.
+        """
+        draw = self._random.random
+        return sum(1 << i for i in range(n) if draw() < probability_of_one)
 
     def weighted_index(self, weights: Iterable[float]) -> int:
         """Index drawn proportionally to ``weights``."""

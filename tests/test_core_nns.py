@@ -1,13 +1,17 @@
 """Tests for the KOR approximate nearest-neighbour structure."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import FeatureSpec, NNSConfig
 from repro.core.encoding import UnaryEncoder, hamming
-from repro.core.nns import NNSStructure, TrainingFlow, _ball_deltas
+from repro.core.nns import NNSStructure, TrainingFlow, _ball_deltas, _fold64
 from repro.netflow.records import FlowStats
 from repro.util.errors import TrainingError
-from repro.util.rng import SeededRng
+from repro.util.rng import SeededRng, mix64
 
 
 def small_config(**overrides):
@@ -183,3 +187,128 @@ class TestEagerMode:
         _encoder, structure = build([1, 5, 9], config)
         structure.build_all_scales()
         assert structure.scales_built == structure.dimension
+
+
+def figure8_reference(structure, encoded):
+    """Figure 8 written out literally: probe every visited scale in full,
+    rank its hits by (Hamming distance, index), keep the last non-empty
+    scale.  The table pick is the structure's (query, scale) hash."""
+    query_hash = _fold64(encoded) if structure.config.m1 > 1 else 0
+    low, high = 1, structure.dimension
+    best = None
+    while low <= high:
+        scale = (low + high) // 2
+        tables = structure._tables_for(scale)
+        table = (
+            tables[0]
+            if len(tables) == 1
+            else tables[mix64(query_hash ^ scale) % len(tables)]
+        )
+        hits = table.probe(encoded, structure._deltas)
+        if hits:
+            chosen = min(hits, key=lambda f: (hamming(f.encoded, encoded), f.index))
+            best = (chosen.index, hamming(chosen.encoded, encoded), scale)
+            high = scale - 1
+        else:
+            low = scale + 1
+    return best
+
+
+_field = st.integers(min_value=0, max_value=100)
+_point = st.tuples(_field, _field, _field, _field, _field)
+
+
+def _stats_of(point):
+    octets, packets, duration_ms, bit_rate, packet_rate = point
+    return FlowStats(
+        octets=octets,
+        packets=packets,
+        duration_ms=duration_ms,
+        bit_rate=float(bit_rate),
+        packet_rate=float(packet_rate),
+    )
+
+
+@st.composite
+def _searches(draw):
+    config = small_config(
+        m1=draw(st.integers(1, 3)),
+        m2=draw(st.integers(6, 16)),
+        m3=draw(st.integers(1, 4)),
+    )
+    # A small pool drawn with repetition: duplicate encodings make ties.
+    pool = draw(st.lists(_point, min_size=1, max_size=6))
+    corpus = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=24))
+    near = [
+        tuple(min(100, max(0, v + draw(st.integers(-6, 6)))) for v in point)
+        for point in draw(st.lists(st.sampled_from(corpus), max_size=4))
+    ]
+    # Mirrored corpus points sit as far from the corpus as the lanes
+    # allow; with a small M3 no visited scale may answer them.
+    far = [
+        tuple(100 - v for v in point)
+        for point in draw(st.lists(st.sampled_from(corpus), max_size=2))
+    ] + draw(st.lists(_point, max_size=2))
+    return config, corpus, near + far, draw(st.integers(0, 2**32))
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(_searches())
+    def test_nearest_matches_literal_figure8(self, search):
+        config, corpus, queries, seed = search
+        encoder = UnaryEncoder(config.features)
+        flows = [
+            TrainingFlow(index=i, stats=stats, encoded=encoder.encode(stats))
+            for i, stats in enumerate(map(_stats_of, corpus))
+        ]
+        structure = NNSStructure(encoder, config, flows, rng=SeededRng(seed))
+        for point in queries:
+            query = encoder.encode(_stats_of(point))
+            got = structure.nearest(query)
+            expected = figure8_reference(structure, query)
+            if expected is None:
+                assert got is None
+            else:
+                assert got is not None
+                assert (got.flow.index, got.distance, got.scale) == expected
+
+    def test_both_answer_none_when_no_scale_answers(self):
+        config = small_config(m1=1, m2=16, m3=1)
+        encoder = UnaryEncoder(config.features)
+        origin = _stats_of((0, 0, 0, 0, 0))
+        structure = NNSStructure(
+            encoder,
+            config,
+            [TrainingFlow(0, origin, encoder.encode(origin))],
+            rng=SeededRng(0),
+        )
+        query = encoder.encode(_stats_of((100, 100, 100, 100, 100)))
+        assert figure8_reference(structure, query) is None
+        assert structure.nearest(query) is None
+
+
+class TestVectorStream:
+    # Computed on the code that drew test vectors one bernoulli() at a time.
+    # Checkpoints rebuild their tables from the RNG seed, so a change to
+    # this stream silently changes every restored detector's answers.
+    GOLDEN = "17dae9e65457649252ffc5fc2d31b2efc3a3f79d6ef59b80f738b3de0dc25f55"
+
+    def test_test_vectors_match_the_golden_digest(self):
+        config = NNSConfig(m1=2)
+        encoder = UnaryEncoder(config.features)
+        stats = FlowStats(
+            octets=1000, packets=10, duration_ms=100, bit_rate=80.0, packet_rate=1.0
+        )
+        structure = NNSStructure(
+            encoder,
+            config,
+            [TrainingFlow(0, stats, encoder.encode(stats))],
+            rng=SeededRng(2005, "golden"),
+        )
+        digest = hashlib.sha256()
+        for scale in (1, 2, 360, 720):
+            for table in structure._tables_for(scale):
+                for vector in table.test_vectors:
+                    digest.update(vector.to_bytes(90, "big"))
+        assert digest.hexdigest() == self.GOLDEN

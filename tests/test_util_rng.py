@@ -1,6 +1,8 @@
 """Tests for the deterministic RNG wrapper."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.util.rng import SeededRng, derive_seed
 
@@ -53,8 +55,20 @@ class TestSeededRng:
 
     def test_bit_probability(self):
         rng = SeededRng(3)
-        ones = sum(rng.bit(0.25) for _ in range(4000))
+        ones = rng.bits(4000, 0.25).bit_count()
         assert 800 < ones < 1200
+
+    @settings(max_examples=60)
+    @given(
+        n=st.integers(min_value=0, max_value=800),
+        probability=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_bits_consumes_the_bernoulli_stream(self, n, probability, seed):
+        packed, twin = SeededRng(seed, "bits"), SeededRng(seed, "bits")
+        expected = sum(int(twin.bernoulli(probability)) << i for i in range(n))
+        assert packed.bits(n, probability) == expected
+        assert packed.state_dict() == twin.state_dict()
 
     def test_choice_and_sample(self):
         rng = SeededRng(3)
