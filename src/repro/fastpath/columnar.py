@@ -85,76 +85,91 @@ class ColumnarBatch:
     def records(self) -> List[FlowRecord]:
         """Materialise row-wise :class:`FlowRecord` objects.
 
-        The batch is validated at decode time, so construction here
-        cannot raise; the output is element-for-element identical to the
-        record-at-a-time decoder's list.
+        The output is element-for-element identical to the
+        record-at-a-time decoder's list, but each record is built
+        directly: ``object.__new__`` plus one ``object.__setattr__`` per
+        field, in declaration order, skipping the frozen dataclass's
+        keyword-argument ``__init__`` and ``FlowRecord.__post_init__``.
+        That is sound because the decoder has already enforced every
+        ``__post_init__`` check column-wise: :func:`_columns_valid`
+        covers packets > 0, octets > 0 and last >= first, and ttl is an
+        unsigned byte on the v5 wire (pad1) and zero for v1.
+
+        Attributes go through ``object.__setattr__``, never the
+        instance ``__dict__``: writing the dict directly would
+        materialise it (more bytes per live record, slower attribute
+        reads everywhere downstream).
         """
-        return [
-            FlowRecord(
-                key=FlowKey(
-                    src_addr=src_addr,
-                    dst_addr=dst_addr,
-                    protocol=protocol,
-                    src_port=src_port,
-                    dst_port=dst_port,
-                    tos=tos,
-                    input_if=input_if,
-                ),
-                packets=packets,
-                octets=octets,
-                first=first,
-                last=last,
-                next_hop=next_hop,
-                tcp_flags=tcp_flags,
-                src_as=src_as,
-                dst_as=dst_as,
-                src_mask=src_mask,
-                dst_mask=dst_mask,
-                output_if=output_if,
-                ttl=ttl,
-            )
-            for (
-                src_addr,
-                dst_addr,
-                protocol,
-                src_port,
-                dst_port,
-                tos,
-                input_if,
-                packets,
-                octets,
-                first,
-                last,
-                next_hop,
-                tcp_flags,
-                src_as,
-                dst_as,
-                src_mask,
-                dst_mask,
-                output_if,
-                ttl,
-            ) in zip(
-                self.src_addr,
-                self.dst_addr,
-                self.protocol,
-                self.src_port,
-                self.dst_port,
-                self.tos,
-                self.input_if,
-                self.packets,
-                self.octets,
-                self.first,
-                self.last,
-                self.next_hop,
-                self.tcp_flags,
-                self.src_as,
-                self.dst_as,
-                self.src_mask,
-                self.dst_mask,
-                self.output_if,
-                self.ttl,
-            )
-        ]
+        new = object.__new__
+        put = object.__setattr__
+        out: List[FlowRecord] = []
+        append = out.append
+        for (
+            src_addr,
+            dst_addr,
+            protocol,
+            src_port,
+            dst_port,
+            tos,
+            input_if,
+            packets,
+            octets,
+            first,
+            last,
+            next_hop,
+            tcp_flags,
+            src_as,
+            dst_as,
+            src_mask,
+            dst_mask,
+            output_if,
+            ttl,
+        ) in zip(
+            self.src_addr,
+            self.dst_addr,
+            self.protocol,
+            self.src_port,
+            self.dst_port,
+            self.tos,
+            self.input_if,
+            self.packets,
+            self.octets,
+            self.first,
+            self.last,
+            self.next_hop,
+            self.tcp_flags,
+            self.src_as,
+            self.dst_as,
+            self.src_mask,
+            self.dst_mask,
+            self.output_if,
+            self.ttl,
+        ):
+            key = new(FlowKey)
+            put(key, "src_addr", src_addr)
+            put(key, "dst_addr", dst_addr)
+            put(key, "protocol", protocol)
+            put(key, "src_port", src_port)
+            put(key, "dst_port", dst_port)
+            put(key, "tos", tos)
+            put(key, "input_if", input_if)
+            record = new(FlowRecord)
+            put(record, "key", key)
+            put(record, "packets", packets)
+            put(record, "octets", octets)
+            put(record, "first", first)
+            put(record, "last", last)
+            put(record, "next_hop", next_hop)
+            put(record, "tcp_flags", tcp_flags)
+            put(record, "src_as", src_as)
+            put(record, "dst_as", dst_as)
+            put(record, "src_mask", src_mask)
+            put(record, "dst_mask", dst_mask)
+            put(record, "output_if", output_if)
+            put(record, "exporter", 0)
+            put(record, "ttl", ttl)
+            append(record)
+        return out
 
 
 def _columns_valid(

@@ -10,9 +10,8 @@ destination port to a peer-AS identity and stamping it onto the records
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.netflow.records import FlowRecord
 from repro.netflow.v5 import V5Header, decode_datagram
@@ -25,6 +24,8 @@ log = get_logger(__name__)
 
 FlowSink = Callable[[FlowRecord], None]
 BatchSink = Callable[[List[FlowRecord]], None]
+#: (flow_sequence, sys_uptime, unix_secs, unix_nsecs) of a v5 header.
+_HeaderIdentity = Tuple[int, int, int, int]
 
 
 @dataclass
@@ -58,10 +59,13 @@ class FlowCollector:
         self.stats = CollectorStats()
         self._store: List[FlowRecord] = []
         self._retain = False
-        # Recently seen (per source) flow_sequence values: UDP duplicates
-        # re-deliver a datagram verbatim; replaying its records would
-        # double-count flows, so they are dropped here.
-        self._recent_seq: Dict[int, Deque[int]] = {}
+        # Recently seen (per source) datagram header identities: UDP
+        # duplicates re-deliver a datagram verbatim; replaying its records
+        # would double-count flows, so they are dropped here.  The
+        # identity includes the export clock, so a restarted exporter
+        # reusing low sequence numbers is not mistaken for a re-delivery.
+        # Each window is an insertion-ordered dict used as a bounded set.
+        self._recent: Dict[int, Dict[_HeaderIdentity, None]] = {}
         registry = registry if registry is not None else get_registry()
         self._m_datagrams = registry.counter(
             "infilter_collector_datagrams_total",
@@ -166,25 +170,38 @@ class FlowCollector:
         self.stats.records += len(records)
         self._m_datagrams.inc()
         self._m_records.inc(len(records))
-        for record in records:
-            self._deliver(record)
+        self._deliver_all(records)
         return records
 
     def _is_duplicate(self, source: int, header: V5Header) -> bool:
-        recent = self._recent_seq.get(source)
+        identity = (
+            header.flow_sequence,
+            header.sys_uptime,
+            header.unix_secs,
+            header.unix_nsecs,
+        )
+        recent = self._recent.get(source)
         if recent is None:
-            self._recent_seq[source] = recent = deque(maxlen=self.DEDUPE_WINDOW)
-        if header.flow_sequence in recent:
+            self._recent[source] = recent = {}
+        elif identity in recent:
             return True
-        recent.append(header.flow_sequence)
+        recent[identity] = None
+        if len(recent) > self.DEDUPE_WINDOW:
+            del recent[next(iter(recent))]
         return False
 
     def ingest_records(self, records: List[FlowRecord]) -> None:
         """Bypass the wire format (already-decoded records)."""
         self.stats.records += len(records)
         self._m_records.inc(len(records))
-        for record in records:
-            self._deliver(record)
+        self._deliver_all(records)
+
+    def _deliver_all(self, records: List[FlowRecord]) -> None:
+        # Callers that consume the returned list themselves (the serve
+        # router) register nothing; skip the per-record walk for them.
+        if self._retain or self._sinks or self._batch_sinks:
+            for record in records:
+                self._deliver(record)
 
     def _deliver(self, record: FlowRecord) -> None:
         if self._retain:

@@ -7,8 +7,9 @@ decodes both formats through the columnar zero-copy decoders of
 :mod:`repro.fastpath.columnar`, sends v5 records through the
 :class:`~repro.netflow.collector.FlowCollector` (sequence tracking,
 duplicate suppression, loss accounting — the same accounting the
-offline path uses), and pushes every resulting record into the bounded
-ingest queue.
+offline path uses), and admits each datagram's accepted records into the
+bounded ingest queue in one :meth:`~repro.serve.queue.IngestQueue.put_many`
+call.
 
 Keeping the router a plain synchronous object makes the whole ingress
 testable without a socket: tests feed ``route()`` bytes and assert on
@@ -71,7 +72,6 @@ class DatagramRouter:
         self.collector = (
             collector if collector is not None else FlowCollector(registry=registry)
         )
-        self.collector.add_sink(self._sink)
         self.stats = RouterStats()
         self._on_activity = on_activity
         datagrams = registry.counter(
@@ -82,9 +82,6 @@ class DatagramRouter:
         self._m_v5 = datagrams.labels(version="v5")
         self._m_v1 = datagrams.labels(version="v1")
         self._m_invalid = datagrams.labels(version="invalid")
-
-    def _sink(self, record: FlowRecord) -> None:
-        self.queue.put(record)
 
     def route(self, data: bytes, source: int = 0) -> int:
         """Ingest one datagram; returns the number of records queued for
@@ -101,6 +98,7 @@ class DatagramRouter:
             version = -1
         if version == NETFLOW_V5_VERSION:
             records = self._receive_v5(data, source)
+            self.queue.put_many(records)
             self.stats.v5_datagrams += 1
             self._m_v5.inc()
             return len(records)
@@ -123,6 +121,7 @@ class DatagramRouter:
             # v1 has no flow_sequence: records bypass loss accounting and
             # go through the collector's decoded-record entry point.
             self.collector.ingest_records(records)
+            self.queue.put_many(records)
             return len(records)
         self.stats.invalid_datagrams += 1
         self._m_invalid.inc()

@@ -7,10 +7,11 @@ when ingest outruns commit the queue sheds load by policy instead of
 growing without limit, and every shed is counted so operators can see
 exactly what was sacrificed (``infilter_serve_shed_total``).
 
-The queue is single-loop: producers call :meth:`put` from event-loop
-callbacks (the datagram protocol), the one consumer awaits
-:meth:`get_batch`.  No locks are needed because asyncio callbacks and
-coroutine steps interleave only at await points.
+The queue is single-loop: producers call :meth:`put_many` (one
+datagram's records) or :meth:`put` from event-loop callbacks (the
+datagram protocol), the one consumer awaits :meth:`get_batch`.  No
+locks are needed because asyncio callbacks and coroutine steps
+interleave only at await points.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional
+from typing import Deque, List, NamedTuple, Optional, Sequence
 
 import asyncio
 
@@ -30,13 +31,13 @@ from repro.util.errors import ConfigError, ServeError
 __all__ = ["QueuedRecord", "QueueStats", "IngestQueue"]
 
 
-@dataclass(frozen=True)
-class QueuedRecord:
+class QueuedRecord(NamedTuple):
     """One admitted flow record plus its ingest timestamp.
 
     ``enqueued_s`` is a monotonic (``perf_counter``) instant, used only
     to measure ingest-to-verdict latency — observability, not simulation
-    input, so it never feeds a detector decision.
+    input, so it never feeds a detector decision.  All records admitted
+    by one :meth:`IngestQueue.put_many` call (one datagram) share it.
     """
 
     record: FlowRecord
@@ -117,30 +118,66 @@ class IngestQueue:
     def put(self, record: FlowRecord) -> bool:
         """Admit one record; returns False when it was shed.
 
-        A full queue invokes the shed policy: ``drop-oldest`` evicts the
-        head and admits ``record`` (returns True — the *new* record was
-        admitted); ``reject-newest`` counts ``record`` as shed and
-        returns False.  Putting into a closed queue is a contract
-        violation — the listener must be stopped before the drain.
+        The one-record case of :meth:`put_many`: a full queue under
+        ``drop-oldest`` evicts the head and admits ``record`` (True — the
+        *new* record was admitted); under ``reject-newest`` ``record``
+        is counted as shed (False).
         """
+        return self.put_many((record,)) == 1
+
+    def put_many(self, records: Sequence[FlowRecord]) -> int:
+        """Admit one datagram's records in order; returns how many were
+        admitted.
+
+        The outcome and the accounting are exactly those of putting the
+        records one at a time, but decided once: ``drop-oldest`` admits
+        all ``n`` records, sheds ``max(0, depth + n - capacity)`` and
+        keeps the newest ``capacity``; ``reject-newest`` admits the first
+        ``capacity - depth`` and sheds the rest.  All admitted records
+        share one enqueue instant.  Putting records into a closed queue
+        is a contract violation — the listener must be stopped before
+        the drain.
+        """
+        n = len(records)
+        if n == 0:
+            return 0
         if self._closed:
             raise ServeError("cannot enqueue into a closed ingest queue")
-        if len(self._items) >= self.capacity:
-            self.stats.shed += 1
-            self._m_shed.inc()
-            if self.shed_policy == SHED_DROP_OLDEST:
-                self._items.popleft()
+        items = self._items
+        room = self.capacity - len(items)
+        stats = self.stats
+        if n <= room:
+            admitted = n
+            shed = 0
+        elif self.shed_policy == SHED_DROP_OLDEST:
+            admitted = n
+            shed = n - room
+            if n >= self.capacity:
+                # Everything queued is evicted, then the oldest of the
+                # incoming records too: only the newest `capacity` stay.
+                items.clear()
+                records = records[n - self.capacity:]
             else:
-                return False
-        self._items.append(QueuedRecord(record, time.perf_counter()))
-        self.stats.enqueued += 1
-        self._m_enqueued.inc()
-        depth = len(self._items)
-        if depth > self.stats.high_watermark:
-            self.stats.high_watermark = depth
+                for _ in range(shed):
+                    items.popleft()
+        else:
+            admitted = room
+            shed = n - room
+            records = records[:room]
+        now = time.perf_counter()
+        items.extend([QueuedRecord(record, now) for record in records])
+        if shed:
+            stats.shed += shed
+            self._m_shed.inc(shed)
+        stats.enqueued += admitted
+        self._m_enqueued.inc(admitted)
+        depth = len(items)
+        if depth > stats.high_watermark:
+            stats.high_watermark = depth
         self._m_depth.set(depth)
-        self._event().set()
-        return True
+        if admitted:
+            self._event().set()
+        return admitted
 
     def close(self) -> None:
         """Enter drain mode: no new records, consumers see the rest.

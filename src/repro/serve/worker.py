@@ -169,9 +169,7 @@ class CommitWorker:
         watch = Stopwatch()
         self.detector.process_batch([queued.record for queued in batch])
         elapsed = watch.elapsed_s()
-        done = time.perf_counter()
-        for queued in batch:
-            self._sample_latency(done - queued.enqueued_s)
+        self._sample_latencies(time.perf_counter(), batch)
         self._batches += 1
         self._committed += len(batch)
         self._cursor += len(batch)
@@ -186,15 +184,33 @@ class CommitWorker:
         if self._on_progress is not None:
             self._on_progress()
 
-    def _sample_latency(self, latency_s: float) -> None:
-        self._m_ingest_latency.observe(latency_s)
-        self._latency_seen += 1
-        if len(self._latency_reservoir) < _LATENCY_RESERVOIR:
-            self._latency_reservoir.append(latency_s)
-            return
-        slot = self._latency_rng.randrange(self._latency_seen)
-        if slot < _LATENCY_RESERVOIR:
-            self._latency_reservoir[slot] = latency_s
+    def _sample_latencies(self, done: float, batch: List[QueuedRecord]) -> None:
+        """Observe every record's enqueue-to-verdict latency.
+
+        One datagram's records share one enqueue instant, so the
+        histogram takes one ``observe_many`` per run of equal latencies;
+        the reservoir still sees every record (algorithm R, one draw per
+        record once full).
+        """
+        reservoir = self._latency_reservoir
+        histogram = self._m_ingest_latency
+        run_value = 0.0
+        run_length = 0
+        for queued in batch:
+            latency_s = done - queued.enqueued_s
+            if latency_s != run_value:
+                histogram.observe_many(run_value, run_length)
+                run_value = latency_s
+                run_length = 0
+            run_length += 1
+            self._latency_seen += 1
+            if len(reservoir) < _LATENCY_RESERVOIR:
+                reservoir.append(latency_s)
+                continue
+            slot = self._latency_rng.randrange(self._latency_seen)
+            if slot < _LATENCY_RESERVOIR:
+                reservoir[slot] = latency_s
+        histogram.observe_many(run_value, run_length)
 
     def checkpoint(self) -> int:
         """Write an atomic checkpoint at the current cursor."""

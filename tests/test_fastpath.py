@@ -9,7 +9,10 @@ checkpoint is byte-identical whether the memo is hot, cold, or absent.
 Every test here pins one of those equalities.
 """
 
+import dataclasses
+import gc
 import json
+import tracemalloc
 from typing import List
 
 import pytest
@@ -35,12 +38,22 @@ from repro.netflow.v1 import (
     encode_v1_datagram,
 )
 from repro.netflow.v5 import NETFLOW_V5_VERSION, decode_datagram, encode_datagram
-from repro.fastpath.columnar import decode_v1_columnar, decode_v5_columnar
+from repro.fastpath.columnar import (
+    ColumnarBatch,
+    decode_v1_columnar,
+    decode_v5_columnar,
+)
+from repro.netflow.records import FlowKey, FlowRecord
 from repro.obs import MetricsRegistry
 from repro.serve.listener import DatagramRouter, RouterStats
 from repro.serve.queue import IngestQueue
 from repro.util import SeededRng
-from repro.util.errors import ConfigError, NetFlowDecodeError, NetFlowError
+from repro.util.errors import (
+    ConfigError,
+    NetFlowDecodeError,
+    NetFlowError,
+    RecordError,
+)
 
 from tests.conftest import make_detector
 from tests.test_netflow_fuzz import flow_records
@@ -158,7 +171,127 @@ class TestFastPathEpochs:
 # -- columnar decode == record-at-a-time decode -------------------------------
 
 
+#: Records exercising every v5 field, including the AS numbers and the
+#: TTL carried in the pad1 byte (v1 encoding drops them).
+full_flow_records = st.tuples(
+    flow_records(),
+    st.integers(min_value=0, max_value=255),
+    st.integers(min_value=0, max_value=2**16 - 1),
+    st.integers(min_value=0, max_value=2**16 - 1),
+).map(
+    lambda drawn: dataclasses.replace(
+        drawn[0], ttl=drawn[1], src_as=drawn[2], dst_as=drawn[3]
+    )
+)
+
+
+def _decode_both(version, records):
+    """(serial records, columnar batch) for one encoded datagram."""
+    if version == 5:
+        data = encode_datagram(
+            records, sys_uptime=1, unix_secs=2, flow_sequence=3
+        )
+        return decode_datagram(data)[1], decode_v5_columnar(data)[1]
+    data = encode_v1_datagram(records, sys_uptime=1, unix_secs=2)
+    return decode_v1_datagram(data)[1], decode_v1_columnar(data)[1]
+
+
+def _constructor_built(batch: ColumnarBatch) -> List[FlowRecord]:
+    """The batch's records through the validating dataclass constructors
+    (keyword calls, as the serial decoders make them), sharing the
+    batch's int objects so only per-record overhead can differ."""
+    return [
+        FlowRecord(
+            key=FlowKey(
+                src_addr=src_addr, dst_addr=dst_addr, protocol=protocol,
+                src_port=src_port, dst_port=dst_port, tos=tos,
+                input_if=input_if,
+            ),
+            packets=packets, octets=octets, first=first, last=last,
+            next_hop=next_hop, tcp_flags=tcp_flags, src_as=src_as,
+            dst_as=dst_as, src_mask=src_mask, dst_mask=dst_mask,
+            output_if=output_if, ttl=ttl,
+        )
+        for (
+            src_addr, dst_addr, protocol, src_port, dst_port, tos, input_if,
+            packets, octets, first, last, next_hop, tcp_flags, src_as,
+            dst_as, src_mask, dst_mask, output_if, ttl,
+        ) in zip(
+            *(getattr(batch, field.name) for field in dataclasses.fields(batch))
+        )
+    ]
+
+
+def _retained_bytes_per_record(build) -> float:
+    """Bytes each record of a live ``build()`` result keeps allocated.
+
+    One warm-up call first (interpreter specialisation, allocator free
+    lists), then one traced call.
+    """
+    build()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        records = build()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained / len(records)
+
+
 class TestColumnarDecodeEquivalence:
+    @given(
+        st.sampled_from([5, 1]),
+        st.lists(full_flow_records, min_size=1, max_size=12),
+    )
+    @settings(max_examples=80)
+    def test_direct_build_is_a_real_frozen_record(self, version, records):
+        serial_records, batch = _decode_both(version, records)
+        direct = batch.records()
+        record_fields = [f.name for f in dataclasses.fields(FlowRecord)]
+        key_fields = [f.name for f in dataclasses.fields(FlowKey)]
+        assert direct == serial_records
+        for record, serial in zip(direct, serial_records):
+            assert record == serial
+            assert hash(record) == hash(serial)
+            assert hash(record.key) == hash(serial.key)
+            # Every declared field is set, in declaration order: a field
+            # added to the dataclass but not to records() fails here.
+            assert list(vars(record)) == record_fields
+            assert list(vars(record.key)) == key_fields
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.packets = 5  # type: ignore[misc]
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                record.key.src_addr = 5  # type: ignore[misc]
+            moved = record.with_key(input_if=record.key.input_if + 1)
+            assert moved == serial.with_key(input_if=serial.key.input_if + 1)
+            with pytest.raises(RecordError):
+                dataclasses.replace(record, packets=0)
+            with pytest.raises(RecordError):
+                dataclasses.replace(record, last=record.first - 1)
+
+    @given(
+        st.sampled_from([5, 1]),
+        st.lists(full_flow_records, min_size=1, max_size=30),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_direct_build_costs_no_more_memory(self, version, records):
+        # Writing the instance __dict__ instead of going through
+        # object.__setattr__ would materialise a per-record dict: ~128 B
+        # more per live record, far outside the 1% tolerance.
+        _serial, batch = _decode_both(version, records)
+        # Repeat the datagram's rows (sharing their int objects) so the
+        # per-call overhead of either build path is negligible per record.
+        reps = -(-2_000 // len(batch))
+        big = ColumnarBatch(
+            *(getattr(batch, field.name) * reps
+              for field in dataclasses.fields(batch))
+        )
+        direct = _retained_bytes_per_record(big.records)
+        built = _retained_bytes_per_record(lambda: _constructor_built(big))
+        assert abs(direct - built) <= 0.01 * built
+
     @given(st.lists(flow_records(), min_size=1, max_size=8))
     @settings(max_examples=60)
     def test_v5_columnar_equals_serial(self, records):

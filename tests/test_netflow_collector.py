@@ -95,6 +95,32 @@ class TestFlowCollector:
         # (and shows up as a sequence reset instead).
         assert len(collector.receive(first, source=1)) == 1
 
+    def test_restarted_exporter_is_not_mistaken_for_duplicates(self):
+        # A restarted exporter reuses low flow_sequence values inside the
+        # dedupe window, but its export clock differs: its datagrams are
+        # new traffic and the regression is an exporter restart.
+        collector = FlowCollector()
+
+        def export(sequence, sys_uptime, unix_secs):
+            return encode_datagram(
+                [record(sequence + i) for i in range(3)],
+                sys_uptime=sys_uptime,
+                unix_secs=unix_secs,
+                flow_sequence=sequence,
+            )
+
+        for sequence in (0, 3, 6, 9):
+            collector.receive(export(sequence, 50_000, 1_000), source=1)
+        restarted = [export(sequence, 120, 1_050) for sequence in (0, 3, 6, 9)]
+        delivered = [len(collector.receive(d, source=1)) for d in restarted]
+        assert delivered == [3, 3, 3, 3]
+        assert collector.stats.duplicates == 0
+        assert collector.stats.sequence_resets == 1
+        assert collector.stats.records == 24
+        # A verbatim re-delivery after the restart is still a duplicate.
+        assert collector.receive(restarted[1], source=1) == []
+        assert collector.stats.duplicates == 1
+
     def test_ingest_records_bypasses_wire(self):
         collector = FlowCollector()
         collector.retain_records()

@@ -14,7 +14,9 @@ The daemon's contracts under test:
 * SIGHUP-style hot reload swaps the detector at a batch boundary and a
   bad reload source never takes the daemon down;
 * the HTTP observability endpoint serves health, metrics, and stats;
-* shed and loss counters reconcile with what was committed.
+* shed and loss counters reconcile with what was committed, and the
+  one-step datagram admission (``IngestQueue.put_many``) accounts
+  exactly as admitting its records one at a time.
 """
 
 from __future__ import annotations
@@ -27,12 +29,15 @@ import subprocess
 import sys
 import time
 import urllib.request
+from collections import deque
 from pathlib import Path
-from typing import List
+from typing import Deque, List
 
 import asyncio
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.persistence import load_checkpoint, save_detector
 from repro.flowgen import Dagflow, generate_attack, synthesize_trace
@@ -46,6 +51,7 @@ from repro.serve import (
     CommitWorker,
     DatagramRouter,
     IngestQueue,
+    QueueStats,
     ServeConfig,
     ServeDaemon,
 )
@@ -228,6 +234,111 @@ class TestShedAccounting:
         assert kept == list(range(1, 11))
 
 
+class _PerRecordQueue:
+    """Reference model: the queue admitting one record at a time."""
+
+    def __init__(self, capacity: int, shed_policy: str) -> None:
+        self.capacity = capacity
+        self.shed_policy = shed_policy
+        self.items: Deque[FlowRecord] = deque()
+        self.stats = QueueStats()
+        self.depth_gauge = 0
+
+    def put_many(self, records: List[FlowRecord]) -> int:
+        admitted = 0
+        for record in records:
+            if len(self.items) >= self.capacity:
+                self.stats.shed += 1
+                if self.shed_policy == SHED_DROP_OLDEST:
+                    self.items.popleft()
+                else:
+                    continue
+            self.items.append(record)
+            self.stats.enqueued += 1
+            admitted += 1
+            self.stats.high_watermark = max(
+                self.stats.high_watermark, len(self.items)
+            )
+            self.depth_gauge = len(self.items)
+        return admitted
+
+    def take_nowait(self, limit: int) -> List[FlowRecord]:
+        taken = [self.items.popleft() for _ in range(min(limit, len(self.items)))]
+        if taken:
+            self.stats.dequeued += len(taken)
+            self.depth_gauge = len(self.items)
+        return taken
+
+
+#: One step of a producer/consumer interleaving: ("put", datagram size)
+#: or ("take", batch limit).
+_queue_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.integers(min_value=0, max_value=30)),
+        st.tuples(st.just("take"), st.integers(min_value=1, max_value=40)),
+    ),
+    max_size=12,
+)
+
+
+class TestPutManyEquivalence:
+    @given(
+        capacity=st.integers(min_value=1, max_value=40),
+        shed_policy=st.sampled_from([SHED_DROP_OLDEST, SHED_REJECT_NEWEST]),
+        prefill=st.integers(min_value=0, max_value=40),
+        steps=_queue_steps,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_put_many_matches_per_record_admission(
+        self, capacity, shed_policy, prefill, steps
+    ):
+        registry = MetricsRegistry()
+        queue = IngestQueue(capacity, shed_policy=shed_policy, registry=registry)
+        reference = _PerRecordQueue(capacity, shed_policy)
+        made = 0
+
+        def datagram(size):
+            nonlocal made
+            made += size
+            return [plain_record(made - size + i) for i in range(size)]
+
+        def admit(records):
+            admitted = queue.put_many(records)
+            assert admitted == reference.put_many(records)
+            # One datagram, one enqueue instant.
+            fresh = list(queue._items)[len(queue) - min(admitted, len(queue)):]
+            assert len({q.enqueued_s for q in fresh}) <= 1
+
+        admit(datagram(min(prefill, capacity)))
+        for kind, size in steps:
+            if kind == "put":
+                admit(datagram(size))
+            else:
+                taken = queue.take_nowait(size)
+                assert [q.record for q in taken] == reference.take_nowait(size)
+
+        assert queue.stats == reference.stats
+        enqueued = registry.get("infilter_serve_records_enqueued_total")
+        shed = registry.get("infilter_serve_shed_total")
+        depth = registry.get("infilter_serve_queue_depth")
+        assert enqueued.value == reference.stats.enqueued
+        assert shed.labels(policy=shed_policy).value == reference.stats.shed
+        assert depth.value == reference.depth_gauge
+        remaining = [q.record for q in queue.take_nowait(len(queue))]
+        assert remaining == reference.take_nowait(len(reference.items))
+
+    def test_put_is_put_many_of_one(self):
+        queue = IngestQueue(1, shed_policy=SHED_REJECT_NEWEST,
+                            registry=MetricsRegistry())
+        assert queue.put(plain_record(0)) is True
+        assert queue.put(plain_record(1)) is False
+        assert queue.put_many([]) == 0
+        queue.close()
+        assert queue.put_many([]) == 0
+        with pytest.raises(ServeError):
+            queue.put_many([plain_record(2)])
+
+
 class TestWorkerDrain:
     def test_drain_commits_everything_admitted(
         self, eia_plan, target_prefix, tmp_path
@@ -280,6 +391,24 @@ class TestWorkerDrain:
         assert worker.reloads == 0
         assert worker.detector is detector
         assert worker.committed == 1
+
+    def test_every_committed_record_is_observed_once(
+        self, eia_plan, target_prefix
+    ):
+        detector = make_detector(eia_plan, target_prefix, seed=_SEED, n_train=400)
+        registry = MetricsRegistry()
+        queue = IngestQueue(8, registry=registry)
+        worker = CommitWorker(detector, queue, ServeConfig(), registry=registry)
+        # Two datagrams (two enqueue instants) and one single record.
+        queue.put_many([plain_record(i) for i in range(3)])
+        queue.put_many([plain_record(i) for i in range(3, 5)])
+        queue.put(plain_record(5))
+        queue.close()
+        asyncio.run(worker.run())
+        histogram = registry.get("infilter_serve_ingest_latency_seconds")
+        assert histogram.count == worker.committed == 6
+        assert sum(histogram.bucket_counts) == 6
+        assert worker.latency_percentile(1.0) >= worker.latency_percentile(0.0) > 0
 
     def test_latency_percentile_contract(self, eia_plan, target_prefix):
         detector = make_detector(eia_plan, target_prefix, seed=_SEED, n_train=400)
